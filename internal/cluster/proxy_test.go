@@ -425,3 +425,34 @@ func TestProxyBadRequests(t *testing.T) {
 		t.Fatalf("unknown session: status %d", resp2.StatusCode)
 	}
 }
+
+// TestProxyRejectsTrailingBytes: edfproxy and edfd decode with the same
+// decoder, so a valid request followed by anything but whitespace is the
+// typed 400 whatever the topology — rejected by the proxy itself for
+// the bodies it routes, by the owning replica for session proposals it
+// forwards untouched.
+func TestProxyRejectsTrailingBytes(t *testing.T) {
+	tc := startCluster(t, 2, service.Config{})
+	_, sess, err := client.New(tc.hs.URL, tc.hs.Client()).OpenSession(context.Background(), service.SessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/v1/analyze":                          `{"tasks":[{"wcet":1,"deadline":2,"period":4}]} trailing garbage`,
+		"/v1/batch":                            `{"sets":[{"tasks":[{"wcet":1,"deadline":2,"period":4}]}]}{}`,
+		"/v1/partition":                        `{"model":"partitioned","processors":[{}],"tasks":[{"wcet":1,"deadline":2,"period":4}]}]`,
+		"/v1/sessions":                         `{}{}`,
+		"/v1/sessions/" + sess.ID + "/propose": `{"task":{"wcet":1,"deadline":2,"period":4}} x`,
+	} {
+		resp, err := tc.hs.Client().Post(tc.hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er service.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 400 || er.Code != service.CodeBadRequest || er.Retryable {
+			t.Errorf("%s %q: status %d, %+v (%v); want the typed 400", path, body, resp.StatusCode, er, err)
+		}
+	}
+}

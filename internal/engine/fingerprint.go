@@ -85,22 +85,52 @@ func WorkloadFingerprint(wl workload.Workload, analyzer string, opt core.Options
 			}
 		}
 	} else {
-		ts := wl.Tasks
-		buf = make([]byte, 0, 16*(len(ts)+2))
-		buf = append(buf, fingerprintVersion...)
-		buf = appendAnalysisHeader(buf, analyzer, opt)
-		buf = binary.AppendVarint(buf, int64(len(ts)))
-		for _, t := range ts {
-			buf = binary.AppendVarint(buf, t.WCET)
-			buf = binary.AppendVarint(buf, t.Deadline)
-			buf = binary.AppendVarint(buf, t.Period)
-			buf = binary.AppendVarint(buf, t.Phase)
-			buf = binary.AppendVarint(buf, t.CriticalSection)
-			buf = binary.AppendVarint(buf, t.SelfSuspension)
-		}
+		buf = appendSporadic(make([]byte, 0, 16*(len(wl.Tasks)+2)), wl.Tasks, analyzer, opt)
 	}
+	return hexSum(buf), true
+}
+
+// Fingerprinter computes sporadic fingerprints through one reused
+// encoding buffer, for callers that fingerprint many task sets in a row
+// (the partition placer's candidate bins); only the returned string is
+// allocated. The zero value is ready to use; a Fingerprinter is not safe
+// for concurrent use.
+type Fingerprinter struct {
+	buf []byte
+}
+
+// Sporadic returns Fingerprint(ts, analyzer, opt).
+func (f *Fingerprinter) Sporadic(ts model.TaskSet, analyzer string, opt core.Options) (fp string, ok bool) {
+	if opt.Blocking != nil {
+		return "", false
+	}
+	f.buf = appendSporadic(f.buf[:0], ts, analyzer, opt)
+	return hexSum(f.buf), true
+}
+
+// appendSporadic appends the v1 sporadic encoding of (ts, analyzer, opt).
+func appendSporadic(buf []byte, ts model.TaskSet, analyzer string, opt core.Options) []byte {
+	buf = append(buf, fingerprintVersion...)
+	buf = appendAnalysisHeader(buf, analyzer, opt)
+	buf = binary.AppendVarint(buf, int64(len(ts)))
+	for _, t := range ts {
+		buf = binary.AppendVarint(buf, t.WCET)
+		buf = binary.AppendVarint(buf, t.Deadline)
+		buf = binary.AppendVarint(buf, t.Period)
+		buf = binary.AppendVarint(buf, t.Phase)
+		buf = binary.AppendVarint(buf, t.CriticalSection)
+		buf = binary.AppendVarint(buf, t.SelfSuspension)
+	}
+	return buf
+}
+
+// hexSum is the hex SHA-256 of buf; the digest state and the hex digits
+// stay on the stack, so the string is the only allocation.
+func hexSum(buf []byte) string {
 	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:]), true
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // appendAnalysisHeader encodes the model-independent identity parts —

@@ -517,10 +517,12 @@ func (v *Chunked) Cmp(o *Chunked) int {
 		return 1
 	}
 	n := int64(v.plan.n)
-	if gap >= n {
+	// gap != 0 keeps a chunkless plan (n == 0, both values integers)
+	// from deciding equal values outright.
+	if gap >= n && gap != 0 {
 		return -1
 	}
-	if gap <= -n {
+	if gap <= -n && gap != 0 {
 		return 1
 	}
 	// Rewrite the fractional difference chunk by chunk without going

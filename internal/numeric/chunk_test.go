@@ -308,6 +308,30 @@ func TestChunkedCopyFromIsolation(t *testing.T) {
 	}
 }
 
+// TestChunkedCmpChunklessPlan compares registers bound to a plan whose
+// build failed (no chunks, integer parts only, fractions promoted): equal
+// integers must compare equal.
+func TestChunkedCmpChunklessPlan(t *testing.T) {
+	var p Plan
+	p.Build([]int64{0})
+	var a, b Chunked
+	a.Init(&p)
+	b.Init(&p)
+	for _, c := range []struct{ x, y int64 }{{0, 0}, {2, 2}, {1, 2}, {2, 1}, {-3, -3}} {
+		a.SetInt(c.x)
+		b.SetInt(c.y)
+		want := 0
+		if c.x < c.y {
+			want = -1
+		} else if c.x > c.y {
+			want = 1
+		}
+		if got := a.Cmp(&b); got != want {
+			t.Errorf("Cmp(%d, %d) = %d, want %d", c.x, c.y, got, want)
+		}
+	}
+}
+
 // FuzzChunkedVsBigRat cross-checks a short op program on a Chunked
 // register against big.Rat. The program bytes select ops and operands so
 // the fuzzer can explore carry, borrow, promotion and comparison edges.

@@ -1,15 +1,17 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math/big"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/numeric"
 	"repro/internal/workload"
 )
 
@@ -215,19 +217,38 @@ func BinTasks(wl workload.Workload, proc int, tasks []int) model.TaskSet {
 
 // bin is one processor's working state during placement.
 type bin struct {
-	tasks  []int         // original task indices, placement order
-	scaled model.TaskSet // scaled tasks, same order
-	fill   *big.Rat      // Σ ceil(C/speed)/T
+	// scaled holds the placed tasks scaled to the bin's speed, in
+	// placement order. The slot past its end is scratch: a candidate's
+	// tentative set is scaled plus the candidate task written there, so
+	// trying a bin copies nothing.
+	scaled model.TaskSet
+	fill   numeric.Chunked // Σ ceil(C/speed)/T
 	speed  int64
 }
 
-// placer carries the run-wide state shared by the heuristics.
+// placer carries the run-wide state shared by the heuristics, and the
+// buffers they reuse from task to task and run to run.
 type placer struct {
 	wl       workload.Workload
 	analyzer engine.Analyzer
 	name     string // analyzer spelling used for fingerprints
 	cfg      Config
 	stats    Stats
+	order    []int // task indices in decreasing utilization order
+
+	// plan folds the task periods, the denominators of every fill, into
+	// the bounded-denominator base of numeric.Chunked, so the gate and
+	// the rankings stay exact and allocation-free however widely the
+	// periods spread (values it cannot cover fall back to big.Rat).
+	plan numeric.Plan
+	bins []bin
+	// after and rem hold, per processor, the candidate keys for the task
+	// at hand: the bin's fill if the task lands there, and the worst-fit
+	// remaining capacity speed·(1−fill).
+	after, rem []numeric.Chunked
+	cands      []candidate
+	rejections []Rejection
+	fp         engine.Fingerprinter
 }
 
 // Place assigns the partitioned workload's tasks to processors. It
@@ -260,11 +281,17 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 		}
 	}
 
-	p := &placer{wl: wl, analyzer: analyzer, name: name, cfg: cfg}
-	order := p.taskOrder()
+	m := len(wl.Processors)
+	p := &placer{wl: wl, analyzer: analyzer, name: name, cfg: cfg, order: taskOrder(wl.PartTasks),
+		bins: make([]bin, m), after: make([]numeric.Chunked, m), rem: make([]numeric.Chunked, m)}
+	periods := make([]int64, len(wl.PartTasks))
+	for i, t := range wl.PartTasks {
+		periods[i] = t.Period
+	}
+	p.plan.Build(periods)
 	var out Placement
 	for _, h := range hs {
-		asg, attempt, err := p.run(ctx, h, order)
+		asg, attempt, err := p.run(ctx, h)
 		if err != nil {
 			return Placement{}, err
 		}
@@ -301,25 +328,31 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 // order (ties by original index), the "decreasing" in every heuristic's
 // name — placing heavy tasks first is what makes the greedy strategies
 // effective.
-func (p *placer) taskOrder() []int {
-	us := make([]*big.Rat, len(p.wl.PartTasks))
-	for i, t := range p.wl.PartTasks {
-		us[i] = t.Task.Utilization()
-	}
-	order := make([]int, len(us))
+func taskOrder(tasks []workload.PartitionedTask) []int {
+	order := make([]int, len(tasks))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return us[order[a]].Cmp(us[order[b]]) > 0
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmpUtilization(tasks[b].Task, tasks[a].Task)
 	})
 	return order
+}
+
+// cmpUtilization compares C_a/T_a with C_b/T_b exactly, by the 128-bit
+// cross products C_a·T_b and C_b·T_a (validated tasks have C, T > 0).
+func cmpUtilization(a, b model.Task) int {
+	ah, al := bits.Mul64(uint64(a.WCET), uint64(b.Period))
+	bh, bl := bits.Mul64(uint64(b.WCET), uint64(a.Period))
+	if c := cmp.Compare(ah, bh); c != 0 {
+		return c
+	}
+	return cmp.Compare(al, bl)
 }
 
 // candidate is one gate-surviving processor for the task at hand.
 type candidate struct {
 	proc    int
-	after   *big.Rat // bin fill if the task lands here
 	tent    model.TaskSet
 	key     string // fingerprint of tent; "" when not addressable
 	verdict core.Result
@@ -328,38 +361,44 @@ type candidate struct {
 
 // run executes one heuristic. On success the assignment is returned; on
 // failure the attempt describes the first unplaceable task.
-func (p *placer) run(ctx context.Context, h Heuristic, order []int) ([]int, *Attempt, error) {
-	m := len(p.wl.Processors)
-	bins := make([]bin, m)
+func (p *placer) run(ctx context.Context, h Heuristic) ([]int, *Attempt, error) {
+	bins := p.bins
 	for j := range bins {
-		bins[j].fill = new(big.Rat)
+		bins[j].scaled = bins[j].scaled[:0]
+		bins[j].fill.Init(&p.plan)
 		bins[j].speed = p.wl.Processors[j].EffectiveSpeed()
 	}
 	asg := make([]int, len(p.wl.PartTasks))
-	one := big.NewRat(1, 1)
-	for placed, ti := range order {
+	for placed, ti := range p.order {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		task := p.wl.PartTasks[ti]
-		rejections := make([]Rejection, 0, m)
-		var cands []candidate
-		for j := range m {
+		rejections := p.rejections[:0]
+		cands := p.cands[:0]
+		for j := range bins {
 			if !task.Allows(j) {
 				rejections = append(rejections, Rejection{Processor: j, Reason: "affinity"})
 				continue
 			}
 			st := scaledTask(task.Task, bins[j].speed)
-			after := new(big.Rat).Add(bins[j].fill, big.NewRat(st.WCET, st.Period))
-			if after.Cmp(one) > 0 {
+			after := &p.after[j]
+			after.CopyFrom(&bins[j].fill)
+			after.AddRat(st.WCET, st.Period)
+			if after.CmpInt(1) > 0 {
 				p.stats.GateRejections++
 				rejections = append(rejections, Rejection{Processor: j, Reason: "gate"})
 				continue
 			}
-			tent := append(bins[j].scaled[:len(bins[j].scaled):len(bins[j].scaled)], st)
-			cands = append(cands, candidate{proc: j, after: after, tent: tent})
+			// Grow the bin itself when its scratch slot is missing, so
+			// the slot outlives this candidate whether or not it wins.
+			if len(bins[j].scaled) == cap(bins[j].scaled) {
+				bins[j].scaled = slices.Grow(bins[j].scaled, 1)
+			}
+			cands = append(cands, candidate{proc: j, tent: append(bins[j].scaled, st)})
 		}
-		p.rank(h, cands, bins)
+		p.cands = cands
+		p.rank(h, cands)
 		if err := p.resolve(ctx, cands); err != nil {
 			return nil, nil, err
 		}
@@ -374,10 +413,10 @@ func (p *placer) run(ctx context.Context, h Heuristic, order []int) ([]int, *Att
 				Reason:    cands[i].verdict.Verdict.String(),
 			})
 		}
+		p.rejections = rejections
 		if won < 0 {
-			sort.Slice(rejections, func(a, b int) bool {
-				return rejections[a].Processor < rejections[b].Processor
-			})
+			rejections = slices.Clone(rejections)
+			slices.SortFunc(rejections, func(a, b Rejection) int { return cmp.Compare(a.Processor, b.Processor) })
 			return nil, &Attempt{
 				Heuristic:      h,
 				Placed:         placed,
@@ -387,9 +426,8 @@ func (p *placer) run(ctx context.Context, h Heuristic, order []int) ([]int, *Att
 			}, nil
 		}
 		c := cands[won]
-		bins[c.proc].tasks = append(bins[c.proc].tasks, ti)
 		bins[c.proc].scaled = c.tent
-		bins[c.proc].fill = c.after
+		bins[c.proc].fill.CopyFrom(&p.after[c.proc])
 		asg[ti] = c.proc
 	}
 	return asg, nil, nil
@@ -397,23 +435,21 @@ func (p *placer) run(ctx context.Context, h Heuristic, order []int) ([]int, *Att
 
 // rank orders the candidates by the heuristic, ties broken by processor
 // index (every candidate list starts index-ascending).
-func (p *placer) rank(h Heuristic, cands []candidate, bins []bin) {
+func (p *placer) rank(h Heuristic, cands []candidate) {
 	switch h {
 	case WorstFit:
 		// Remaining absolute capacity speed·(1−fill), largest first.
-		rem := func(c candidate) *big.Rat {
-			r := new(big.Rat).SetInt64(1)
-			r.Sub(r, bins[c.proc].fill)
-			return r.Mul(r, new(big.Rat).SetInt64(bins[c.proc].speed))
+		for _, c := range cands {
+			b, rem := &p.bins[c.proc], &p.rem[c.proc]
+			rem.Init(&p.plan)
+			rem.SetInt(1)
+			rem.Sub(&b.fill)
+			rem.MulInt(b.speed)
 		}
-		sort.SliceStable(cands, func(a, b int) bool {
-			return rem(cands[a]).Cmp(rem(cands[b])) > 0
-		})
+		slices.SortStableFunc(cands, func(a, b candidate) int { return p.rem[b.proc].Cmp(&p.rem[a.proc]) })
 	case Balance:
 		// Resulting fill, smallest first.
-		sort.SliceStable(cands, func(a, b int) bool {
-			return cands[a].after.Cmp(cands[b].after) < 0
-		})
+		slices.SortStableFunc(cands, func(a, b candidate) int { return p.after[a.proc].Cmp(&p.after[b.proc]) })
 	}
 }
 
@@ -423,10 +459,7 @@ func (p *placer) rank(h Heuristic, cands []candidate, bins []bin) {
 func (p *placer) resolve(ctx context.Context, cands []candidate) error {
 	for i := range cands {
 		c := &cands[i]
-		key, ok := engine.Fingerprint(c.tent, p.name, p.cfg.Options)
-		if ok {
-			c.key = key
-		}
+		c.key, _ = p.fp.Sporadic(c.tent, p.name, p.cfg.Options)
 		if p.cfg.Cache != nil && c.key != "" {
 			if r, hit := p.cfg.Cache.Get(c.key); hit {
 				c.verdict, c.known = r, true
@@ -471,7 +504,7 @@ func (p *placer) resolve(ctx context.Context, cands []candidate) error {
 func (p *placer) finalReports(ctx context.Context, asg []int) ([]ProcessorReport, error) {
 	m := len(p.wl.Processors)
 	binTasks := make([][]int, m)
-	for _, ti := range p.taskOrder() {
+	for _, ti := range p.order {
 		j := asg[ti]
 		binTasks[j] = append(binTasks[j], ti)
 	}
@@ -493,10 +526,15 @@ func (p *placer) finalReports(ctx context.Context, asg []int) ([]ProcessorReport
 			continue
 		}
 		scaled := BinTasks(p.wl, j, binTasks[j])
-		fill := scaled.Utilization()
+		sum := &p.after[j]
+		sum.Init(&p.plan)
+		for _, t := range scaled {
+			sum.AddRat(t.WCET, t.Period)
+		}
+		fill := sum.Rat()
 		r.Utilization, _ = fill.Float64()
 		r.UtilizationExact = fill.RatString()
-		if key, ok := engine.Fingerprint(scaled, p.name, p.cfg.Options); ok {
+		if key, ok := p.fp.Sporadic(scaled, p.name, p.cfg.Options); ok {
 			r.Fingerprint = key
 			if p.cfg.Cache != nil {
 				if res, hit := p.cfg.Cache.Get(key); hit {

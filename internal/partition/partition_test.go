@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"math/big"
 	"reflect"
 	"testing"
 
@@ -102,6 +103,30 @@ func TestPlaceHeuristicRanking(t *testing.T) {
 		}
 		if pl.Heuristic != h {
 			t.Errorf("winning heuristic %q, want %q", pl.Heuristic, h)
+		}
+	}
+}
+
+func TestPlaceRankingBeyondChunkPlan(t *testing.T) {
+	// 40 distinct primes near 2^31 as periods: no two share a chunk, so
+	// the exact fills run beyond the bounded-denominator plan. Ties still
+	// break by processor index: worst-fit and balance put the heaviest
+	// task on processor 0 of three empty, equal-speed bins, and the
+	// second-heaviest on processor 1.
+	var tasks []workload.PartitionedTask
+	for p := int64(1<<31) + 11; len(tasks) < 40; p += 2 {
+		if big.NewInt(p).ProbablyPrime(20) {
+			tasks = append(tasks, task("", p/(100+int64(len(tasks))), p, p))
+		}
+	}
+	wl := workload.NewPartitioned(make([]workload.Processor, 3), tasks)
+	for _, h := range []Heuristic{WorstFit, Balance} {
+		pl, err := Place(context.Background(), wl, Config{Heuristics: []Heuristic{h}, Analyzer: "liu"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pl.Feasible || pl.Assignment[0] != 0 || pl.Assignment[1] != 1 {
+			t.Errorf("%s: feasible %v, heaviest tasks on %v, want [0 1]", h, pl.Feasible, pl.Assignment[:2])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventstream"
+	"repro/internal/jsonwire"
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/workload"
@@ -121,23 +122,9 @@ type AnalyzeRequest struct {
 	Options OptionsJSON
 }
 
-// analyzeShadow carries AnalyzeRequest's non-workload fields.
-type analyzeShadow struct {
-	Name     string      `json:"name,omitempty"`
-	Analyzer string      `json:"analyzer,omitempty"`
-	Options  OptionsJSON `json:"options,omitzero"`
-}
-
 // UnmarshalJSON flattens the workload out of the request object, so
 // pre-workload bodies ({"tasks": [...]}) keep working.
-func (r *AnalyzeRequest) UnmarshalJSON(data []byte) error {
-	var aux analyzeShadow
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	r.Name, r.Analyzer, r.Options = aux.Name, aux.Analyzer, aux.Options
-	return json.Unmarshal(data, &r.Workload)
-}
+func (r *AnalyzeRequest) UnmarshalJSON(data []byte) error { return DecodeRequest(data, r) }
 
 // MarshalJSON emits the flattened wire form; sporadic requests omit the
 // model discriminator and stay byte-compatible with the pre-workload
@@ -182,16 +169,7 @@ type WorkloadSet struct {
 }
 
 // UnmarshalJSON flattens the workload out of the set object.
-func (s *WorkloadSet) UnmarshalJSON(data []byte) error {
-	var aux struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	s.Name = aux.Name
-	return json.Unmarshal(data, &s.Workload)
-}
+func (s *WorkloadSet) UnmarshalJSON(data []byte) error { return jsonwire.Decode(data, s, decodeSet) }
 
 // MarshalJSON emits the flattened wire form.
 func (s WorkloadSet) MarshalJSON() ([]byte, error) {
@@ -213,6 +191,9 @@ type BatchRequest struct {
 	// Workers bounds the worker pool; 0 selects the server default.
 	Workers int `json:"workers,omitempty"`
 }
+
+// UnmarshalJSON decodes the request with the shared wire decoder.
+func (r *BatchRequest) UnmarshalJSON(data []byte) error { return DecodeRequest(data, r) }
 
 // BatchJobJSON is one (workload, analyzer) outcome in set-major order.
 type BatchJobJSON struct {
@@ -247,17 +228,7 @@ type SessionRequest struct {
 }
 
 // UnmarshalJSON flattens the seed workload out of the request object.
-func (r *SessionRequest) UnmarshalJSON(data []byte) error {
-	var aux struct {
-		Analyzer string      `json:"analyzer,omitempty"`
-		Options  OptionsJSON `json:"options,omitzero"`
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	r.Analyzer, r.Options = aux.Analyzer, aux.Options
-	return json.Unmarshal(data, &r.Workload)
-}
+func (r *SessionRequest) UnmarshalJSON(data []byte) error { return DecodeRequest(data, r) }
 
 // MarshalJSON emits the flattened wire form. An empty seed still carries
 // its model so event sessions can be opened without tasks.
@@ -296,6 +267,9 @@ type ProposeRequest struct {
 	Task WorkloadTask `json:"task"`
 }
 
+// UnmarshalJSON decodes the request with the shared wire decoder.
+func (r *ProposeRequest) UnmarshalJSON(data []byte) error { return DecodeRequest(data, r) }
+
 // ProposeResponse reports an admission verdict.
 type ProposeResponse struct {
 	// Admitted reports whether the task was staged (pending commit).
@@ -321,6 +295,9 @@ type ProposeResponse struct {
 type ProposeBatchRequest struct {
 	Tasks []WorkloadTask `json:"tasks"`
 }
+
+// UnmarshalJSON decodes the request with the shared wire decoder.
+func (r *ProposeBatchRequest) UnmarshalJSON(data []byte) error { return DecodeRequest(data, r) }
 
 // ProposeBatchResponse reports one verdict per proposed task, in request
 // order.
@@ -359,25 +336,8 @@ type PartitionRequest struct {
 	Workers int
 }
 
-// partitionShadow carries PartitionRequest's non-workload fields.
-type partitionShadow struct {
-	Name       string      `json:"name,omitempty"`
-	Analyzer   string      `json:"analyzer,omitempty"`
-	Options    OptionsJSON `json:"options,omitzero"`
-	Heuristics []string    `json:"heuristics,omitempty"`
-	Workers    int         `json:"workers,omitempty"`
-}
-
 // UnmarshalJSON flattens the workload out of the request object.
-func (r *PartitionRequest) UnmarshalJSON(data []byte) error {
-	var aux partitionShadow
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	r.Name, r.Analyzer, r.Options = aux.Name, aux.Analyzer, aux.Options
-	r.Heuristics, r.Workers = aux.Heuristics, aux.Workers
-	return json.Unmarshal(data, &r.Workload)
-}
+func (r *PartitionRequest) UnmarshalJSON(data []byte) error { return DecodeRequest(data, r) }
 
 // MarshalJSON emits the flattened wire form.
 func (r PartitionRequest) MarshalJSON() ([]byte, error) {

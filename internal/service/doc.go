@@ -30,6 +30,19 @@
 // /metrics is Prometheus text exposition; diagnostics go to log/slog
 // with trace and session attributes.
 //
+// Request bodies decode in one pass: each wire shape (analyze, batch
+// and its sets, partition, session open, propose, propose-batch, plus
+// the polymorphic workload and task inside them) has exactly one
+// decoder, DecodeRequest's single pass over the body bytes through
+// internal/jsonwire, shared by edfd, edfproxy (which routes from the
+// decoded value and forwards the raw bytes), the client, journal replay
+// and every UnmarshalJSON of these types. It accepts, rejects and
+// decodes exactly as encoding/json does (a differential fuzz against the
+// former encoding/json decoders pins this), with one deliberate
+// difference from edfd's former stream decoder: bytes other than
+// whitespace after the JSON value are the typed 400, as they always were
+// at edfproxy.
+//
 // The server wires in a concurrency limiter, per-request deadlines,
 // graceful shutdown, GET /healthz and GET /metrics. Package
 // service/client is the typed Go client (including Events, FleetEvents

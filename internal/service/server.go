@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -854,13 +855,32 @@ func resolveAnalysis(name string, oj OptionsJSON) (engine.Analyzer, core.Options
 	return a, opt, err
 }
 
-// decode parses a JSON body, answering 400 itself on failure.
+// decode reads the whole body and decodes it as one request, answering
+// 400 itself on failure — also when bytes other than whitespace follow
+// the JSON value.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	body, err := ReadBody(r)
+	if err == nil {
+		err = DecodeRequest(body, v)
+	}
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true
+}
+
+// ReadBody reads a request body whole, in a single allocation when the
+// client declared the body's length.
+func ReadBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
+		// ReadFrom wants MinRead spare bytes before each read, the last
+		// one (which sees EOF) included.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // fail writes the uniform typed error body and counts the error.

@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"repro/internal/eventstream"
+	"repro/internal/jsonwire"
 	"repro/internal/model"
 )
 
@@ -194,54 +195,11 @@ func (w Workload) With(t Task) Workload {
 	return out
 }
 
-// workloadWire is the JSON layout: a model discriminator next to the task
-// array (plus the processor array for partitioned workloads). Unknown
-// sibling keys (name, analyzer, ...) are ignored, so a Workload can
-// decode itself out of any enclosing request object.
-type workloadWire struct {
-	Model      string          `json:"model"`
-	Tasks      json.RawMessage `json:"tasks"`
-	Processors json.RawMessage `json:"processors"`
-}
-
 // UnmarshalJSON decodes {"model": ..., "tasks": [...]}, dispatching the
 // task element type on the model and defaulting to sporadic when the
 // discriminator is absent — every pre-discriminator payload keeps
 // working.
-func (w *Workload) UnmarshalJSON(data []byte) error {
-	var aux workloadWire
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	m, err := ParseModel(aux.Model)
-	if err != nil {
-		return err
-	}
-	*w = Workload{Model: m}
-	if m == Partitioned && len(aux.Processors) != 0 && string(aux.Processors) != "null" {
-		if err := json.Unmarshal(aux.Processors, &w.Processors); err != nil {
-			return fmt.Errorf("workload: processors: %w", err)
-		}
-	}
-	if len(aux.Tasks) == 0 || string(aux.Tasks) == "null" {
-		return nil
-	}
-	switch m {
-	case Events:
-		if err := json.Unmarshal(aux.Tasks, &w.Events); err != nil {
-			return fmt.Errorf("workload: events tasks: %w", err)
-		}
-	case Partitioned:
-		if err := json.Unmarshal(aux.Tasks, &w.PartTasks); err != nil {
-			return fmt.Errorf("workload: partitioned tasks: %w", err)
-		}
-	default:
-		if err := json.Unmarshal(aux.Tasks, &w.Tasks); err != nil {
-			return fmt.Errorf("workload: sporadic tasks: %w", err)
-		}
-	}
-	return nil
-}
+func (w *Workload) UnmarshalJSON(data []byte) error { return jsonwire.Decode(data, w, DecodeWorkload) }
 
 // MarshalJSON renders the workload in its wire form. Sporadic workloads
 // omit the discriminator so their payloads stay byte-compatible with the
@@ -339,28 +297,7 @@ func (t Task) Utilization() *big.Rat {
 // UnmarshalJSON dispatches on the task shape: an object with a "stream"
 // key is an event-driven task, anything else decodes as a sporadic task —
 // so pre-existing {"wcet", "deadline", "period"} payloads keep working.
-func (t *Task) UnmarshalJSON(data []byte) error {
-	var probe struct {
-		Stream json.RawMessage `json:"stream"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return fmt.Errorf("workload: task: %w", err)
-	}
-	if probe.Stream != nil {
-		var et eventstream.Task
-		if err := json.Unmarshal(data, &et); err != nil {
-			return fmt.Errorf("workload: event task: %w", err)
-		}
-		*t = Task{Event: &et}
-		return nil
-	}
-	var st model.Task
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("workload: sporadic task: %w", err)
-	}
-	*t = Task{Sporadic: &st}
-	return nil
-}
+func (t *Task) UnmarshalJSON(data []byte) error { return jsonwire.Decode(data, t, DecodeTask) }
 
 // MarshalJSON renders whichever side is set.
 func (t Task) MarshalJSON() ([]byte, error) {
