@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-core bench-session bench-store bench-partition bench-cluster serve smoke smoke-cluster lint-metrics fmt vet clean
+.PHONY: all build test bench bench-core bench-session bench-store bench-partition bench-cluster serve smoke smoke-cluster lint-metrics fmt vet clean
 
 all: build test
 
@@ -13,11 +13,6 @@ test: vet
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx . | tee bench.out
-
-# Service benchmarks as machine-readable test2json events (one smoke
-# iteration per benchmark), for CI trend tracking.
-bench-json:
-	$(GO) test -json -bench . -benchtime 1x -run xxx ./internal/service/ > BENCH_service.json
 
 # Core analyzer hot-path benchmarks, merged into the committed trend file
 # BENCH_core.json (the first run freezes the baseline section; later runs
@@ -108,5 +103,5 @@ vet:
 	$(GO) vet ./...
 
 clean:
-	rm -f bench.out bench-core.out bench-session.out bench-store.out bench-partition.out bench-cluster.out BENCH_service.json
+	rm -f bench.out bench-core.out bench-session.out bench-store.out bench-partition.out bench-cluster.out
 	$(GO) clean ./...

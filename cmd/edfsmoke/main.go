@@ -644,14 +644,14 @@ func driveCluster(ctx context.Context, c *client.Client, n int) error {
 			{Name: "a", WCET: 1, Deadline: 40 + int64(i), Period: 100 + int64(i)},
 			{Name: "b", WCET: 2, Deadline: 90, Period: 200},
 		})
-		first, rt1, err := c.AnalyzeRouted(ctx, service.AnalyzeRequest{Workload: wl})
+		first, rt1, err := c.Analyze(ctx, service.AnalyzeRequest{Workload: wl})
 		if err != nil {
 			return fmt.Errorf("cluster analyze %d: %w", i, err)
 		}
 		if rt1.Replica == "" {
 			return fmt.Errorf("cluster analyze %d: proxy did not name a replica", i)
 		}
-		again, rt2, err := c.AnalyzeRouted(ctx, service.AnalyzeRequest{Workload: wl})
+		again, rt2, err := c.Analyze(ctx, service.AnalyzeRequest{Workload: wl})
 		if err != nil {
 			return fmt.Errorf("cluster re-analyze %d: %w", i, err)
 		}
@@ -694,7 +694,7 @@ func driveCluster(ctx context.Context, c *client.Client, n int) error {
 		b, err := json.Marshal(r)
 		return string(b), err
 	}
-	first, rt, err := c.BatchRouted(ctx, req)
+	first, rt, err := c.Batch(ctx, req)
 	if err != nil {
 		return fmt.Errorf("cluster batch: %w", err)
 	}
@@ -706,7 +706,7 @@ func driveCluster(ctx context.Context, c *client.Client, n int) error {
 			return fmt.Errorf("cluster batch job %d failed: %s", i, jr.Err)
 		}
 	}
-	again, _, err := c.BatchRouted(ctx, req)
+	again, _, err := c.Batch(ctx, req)
 	if err != nil {
 		return fmt.Errorf("cluster batch repeat: %w", err)
 	}
@@ -991,7 +991,7 @@ func driveTakeover(ctx context.Context, daemons *fleet, c *client.Client) error 
 		}
 		handles[i] = h
 	}
-	_, rt, err := handles[0].StateRouted(ctx)
+	_, rt, err := handles[0].State(ctx)
 	if err != nil {
 		return fmt.Errorf("takeover: owner lookup: %w", err)
 	}

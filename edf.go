@@ -97,7 +97,7 @@ const (
 
 // LiuLayland applies the utilization-bound test (U <= 1, deadlines at or
 // beyond periods).
-func LiuLayland(ts TaskSet) Result { return core.LiuLayland(ts) }
+func LiuLayland(ts TaskSet) Result { return core.LiuLayland(ts, core.Options{}) }
 
 // Devi applies Devi's sufficient test (Definition 1 of the paper).
 func Devi(ts TaskSet) Result { return core.Devi(ts) }

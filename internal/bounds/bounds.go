@@ -6,42 +6,41 @@ import (
 	"repro/internal/numeric"
 )
 
-// fastOne is the comparison constant 1 of the fast bound arithmetic.
-var fastOne = numeric.NewFast(1, 1)
-
-// utilFastTasks returns Σ Ci/Ti as an exact numeric.Fast.
-func utilFastTasks(ts model.TaskSet) numeric.Fast {
-	var u numeric.Fast
-	for _, t := range ts {
-		u = u.AddRat(t.WCET, t.Period)
-	}
-	return u
+// regs holds the accumulators of one bound computation, one per role:
+// the utilization U, George's sum of positive terms, the superposition
+// sum of all terms, the per-source term and 1-U. For numeric.Fast they
+// are plain values; on the chunk registers each is its own Scratch
+// register, so no result ever lands in an operand that is still needed.
+type regs[S numeric.Exact[S]] struct {
+	u, sumPos, sumAll, term, den S
 }
 
-// ceilQuo rounds sum/(1-u) up to an int64 with the historical
-// ceilRatInt64 semantics: non-positive sums yield 0, and ok is false only
-// when the (positive) result does not fit in int64. Requires u < 1.
-func ceilQuo(sum, u numeric.Fast) (int64, bool) {
+// chunkRegs binds a bound computation to the scratch's registers 0-4.
+// The caller holds a plan from sc.Arith.
+func chunkRegs(sc *demand.Scratch) regs[*numeric.Chunked] {
+	return regs[*numeric.Chunked]{sc.Reg(0), sc.Reg(1), sc.Reg(2), sc.Reg(3), sc.Reg(4)}
+}
+
+// util sums the sources' slopes into r.u and compares U with 1.
+func (r *regs[S]) util(srcs []demand.Source) int {
+	r.u = demand.AddUtil(r.u, srcs)
+	return r.u.CmpInt(1)
+}
+
+// ceilQuo rounds sum/(1-U) up to an int64: non-positive sums yield 0,
+// and ok is false only when the (positive) result does not fit in int64.
+// Requires U < 1 in r.u.
+func (r *regs[S]) ceilQuo(sum S) (int64, bool) {
 	if sum.Sign() <= 0 {
 		return 0, true
 	}
-	return sum.QuoCeil(fastOne.Sub(u))
+	r.den = r.den.SetInt(1).Sub(r.u)
+	return sum.QuoCeil(r.den)
 }
 
-// Baruah returns the bound of Baruah et al. (Definition 3):
-// I < U/(1-U) * max(Ti - Di). It applies only to constrained-deadline sets
-// (Di <= Ti for every task) with U < 1; otherwise ok is false. A zero bound
-// means no violation interval exists at all (every Di == Ti and U <= 1).
-func Baruah(ts model.TaskSet) (bound int64, ok bool) {
-	return baruahU(ts, utilFastTasks(ts))
-}
-
-// baruahU is Baruah with the utilization precomputed by the caller.
-func baruahU(ts model.TaskSet, u numeric.Fast) (bound int64, ok bool) {
+// baruah is Baruah's bound with U < 1 already in r.u.
+func (r *regs[S]) baruah(ts model.TaskSet) (int64, bool) {
 	if !ts.Constrained() {
-		return 0, false
-	}
-	if u.CmpInt(1) >= 0 {
 		return 0, false
 	}
 	var maxGap int64
@@ -52,36 +51,61 @@ func baruahU(ts model.TaskSet, u numeric.Fast) (bound int64, ok bool) {
 		return 0, true
 	}
 	// ceil(U*maxGap / (1-U))
-	return ceilQuo(u.MulInt(maxGap), u)
+	r.term = r.term.Set(r.u).MulInt(maxGap)
+	return r.ceilQuo(r.term)
 }
 
-// georgeTerm returns C - F*num/den for a source (first deadline F, slope
-// num/den), the per-source constant of the linear upper bound
-// dbf_s(I) <= U_s*I + (C - F*U_s).
-func georgeTerm(s demand.Source) numeric.Fast {
-	num, den := s.UtilRat()
-	f := s.JobDeadline(1)
-	t := numeric.NewFast(num, den).MulInt(f)
-	return numeric.NewFast(s.WCET(), 1).Sub(t)
+// linear computes George's bound and the superposition bound in one
+// pass, with U < 1 already in r.u: the two share the utilization and the
+// per-source terms C - F*U_s (first deadline F, slope U_s), the constants
+// of the linear upper bounds dbf_s(I) <= U_s*I + (C - F*U_s). George's
+// sum starts at bmax, the blocking allowance of GeorgeWithBlocking.
+func (r *regs[S]) linear(srcs []demand.Source, bmax int64) (george int64, okG bool, superpos int64, okS bool) {
+	r.sumPos = r.sumPos.SetInt(bmax)
+	r.sumAll = r.sumAll.SetInt(0)
+	var dmax int64
+	for _, s := range srcs {
+		f := s.JobDeadline(1)
+		r.term = r.term.SetInt(0).AddRat(s.UtilRat()).MulInt(-f).AddInt(s.WCET())
+		r.sumAll = r.sumAll.Add(r.term)
+		if r.term.Sign() > 0 {
+			r.sumPos = r.sumPos.Add(r.term)
+		}
+		dmax = max(dmax, f)
+	}
+	george, okG = r.ceilQuo(r.sumPos)
+	b, okB := r.ceilQuo(r.sumAll)
+	if !okB {
+		return george, okG, 0, false
+	}
+	return george, okG, max(b, dmax), true
+}
+
+// linearBounds is LinearBounds on the given accumulators.
+func linearBounds[S numeric.Exact[S]](srcs []demand.Source, bmax int64, r *regs[S]) (george int64, okG bool, superpos int64, okS bool) {
+	if r.util(srcs) >= 0 {
+		return 0, false, 0, false
+	}
+	return r.linear(srcs, bmax)
+}
+
+// Baruah returns the bound of Baruah et al. (Definition 3):
+// I < U/(1-U) * max(Ti - Di). It applies only to constrained-deadline sets
+// (Di <= Ti for every task) with U < 1; otherwise ok is false. A zero bound
+// means no violation interval exists at all (every Di == Ti and U <= 1).
+func Baruah(ts model.TaskSet) (bound int64, ok bool) {
+	var r regs[numeric.Fast]
+	if r.util(demand.FromTasks(ts)) >= 0 {
+		return 0, false
+	}
+	return r.baruah(ts)
 }
 
 // George returns the bound of George et al.:
 // I < Σ_{Di<=Ti} (1-Di/Ti)·Ci / (1-U). Sources whose term is negative
 // (deadline beyond period) are excluded, which keeps the bound sound.
 // ok is false when U >= 1 or the bound overflows.
-func George(srcs []demand.Source) (bound int64, ok bool) {
-	u := demand.UtilizationFast(srcs)
-	if u.CmpInt(1) >= 0 {
-		return 0, false
-	}
-	var sum numeric.Fast
-	for _, s := range srcs {
-		if t := georgeTerm(s); t.Sign() > 0 {
-			sum = sum.Add(t)
-		}
-	}
-	return ceilQuo(sum, u)
-}
+func George(srcs []demand.Source) (bound int64, ok bool) { return GeorgeWithBlocking(srcs, 0) }
 
 // GeorgeTasks is George over a sporadic task set.
 func GeorgeTasks(ts model.TaskSet) (int64, bool) { return George(demand.FromTasks(ts)) }
@@ -90,17 +114,8 @@ func GeorgeTasks(ts model.TaskSet) (int64, bool) { return George(demand.FromTask
 // a violation dbf(I) > I - B(I) with B non-increasing and B(I) <= bmax
 // implies I < (Σ terms + bmax)/(1-U).
 func GeorgeWithBlocking(srcs []demand.Source, bmax int64) (bound int64, ok bool) {
-	u := demand.UtilizationFast(srcs)
-	if u.CmpInt(1) >= 0 {
-		return 0, false
-	}
-	sum := numeric.NewFast(bmax, 1)
-	for _, s := range srcs {
-		if t := georgeTerm(s); t.Sign() > 0 {
-			sum = sum.Add(t)
-		}
-	}
-	return ceilQuo(sum, u)
+	bound, ok, _, _ = linearBounds(srcs, bmax, &regs[numeric.Fast]{})
+	return bound, ok
 }
 
 // Superposition returns the new bound I_sup of Section 4.3:
@@ -111,21 +126,8 @@ func GeorgeWithBlocking(srcs []demand.Source, bmax int64) (bound int64, ok bool)
 // at most George's bound (the relationship the paper proves). ok is false
 // when U >= 1 or on overflow.
 func Superposition(srcs []demand.Source) (bound int64, ok bool) {
-	u := demand.UtilizationFast(srcs)
-	if u.CmpInt(1) >= 0 {
-		return 0, false
-	}
-	var sum numeric.Fast
-	var dmax int64
-	for _, s := range srcs {
-		sum = sum.Add(georgeTerm(s))
-		dmax = max(dmax, s.JobDeadline(1))
-	}
-	b, ok := ceilQuo(sum, u)
-	if !ok {
-		return 0, false
-	}
-	return max(b, dmax), true
+	_, _, bound, ok = LinearBounds(srcs, nil)
+	return bound, ok
 }
 
 // SuperpositionTasks is Superposition over a sporadic task set.
@@ -134,36 +136,17 @@ func SuperpositionTasks(ts model.TaskSet) (int64, bool) {
 }
 
 // LinearBounds returns George's bound and the superposition bound in one
-// pass over the sources: the two share the utilization sum and the
-// per-source linear terms, so computing them together halves the
-// rational arithmetic — the dominant cost of a bound when the slope sums
-// overflow into big.Rat. Each (bound, ok) pair matches the standalone
-// function exactly.
-func LinearBounds(srcs []demand.Source) (george int64, okG bool, superpos int64, okS bool) {
-	return linearBoundsU(srcs, demand.UtilizationFast(srcs))
-}
-
-// linearBoundsU is LinearBounds with the utilization precomputed.
-func linearBoundsU(srcs []demand.Source, u numeric.Fast) (george int64, okG bool, superpos int64, okS bool) {
-	if u.CmpInt(1) >= 0 {
-		return 0, false, 0, false
+// pass over the sources; each (bound, ok) pair matches the standalone
+// function exactly. With a non-nil Scratch whose chunk plan covers the
+// sources the sums run on its registers, allocation-free even on
+// spread-period sets whose slopes overflow numeric.Fast; otherwise they
+// run in numeric.Fast. Both are exact, so the results are identical.
+func LinearBounds(srcs []demand.Source, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
+	if sc != nil && sc.Arith(srcs) != nil {
+		r := chunkRegs(sc)
+		return linearBounds(srcs, 0, &r)
 	}
-	var sumPos, sumAll numeric.Fast
-	var dmax int64
-	for _, s := range srcs {
-		t := georgeTerm(s)
-		sumAll = sumAll.Add(t)
-		if t.Sign() > 0 {
-			sumPos = sumPos.Add(t)
-		}
-		dmax = max(dmax, s.JobDeadline(1))
-	}
-	george, okG = ceilQuo(sumPos, u)
-	b, okB := ceilQuo(sumAll, u)
-	if !okB {
-		return george, okG, 0, false
-	}
-	return george, okG, max(b, dmax), true
+	return linearBounds(srcs, 0, &regs[numeric.Fast]{})
 }
 
 // busyPeriodMaxIter caps the fixpoint iteration of BusyPeriod; real task
@@ -238,17 +221,25 @@ const (
 // dbf(I+H) = dbf(I) + H for I >= Dmax when U == 1. ok is false for U > 1
 // or when nothing applies within int64.
 func Best(ts model.TaskSet) (bound int64, kind Kind, ok bool) {
-	return BestSources(ts, demand.FromTasks(ts))
+	return BestSources(ts, demand.FromTasks(ts), nil)
 }
 
 // BestSources is Best for callers that already hold the set's demand
-// sources (e.g. a reused analysis Scratch): srcs must be FromTasks(ts) or
-// equivalent. It allocates nothing beyond what the U == 1 fallback needs.
-func BestSources(ts model.TaskSet, srcs []demand.Source) (bound int64, kind Kind, ok bool) {
-	// One utilization sum feeds every candidate bound: the sum dominates
-	// the bound cost once slope denominators overflow into big.Rat.
-	u := utilFastTasks(ts)
-	switch u.CmpInt(1) {
+// sources: srcs must be FromTasks(ts) or equivalent. The Scratch selects
+// the arithmetic as in LinearBounds (nil means numeric.Fast); the result
+// is the same either way.
+func BestSources(ts model.TaskSet, srcs []demand.Source, sc *demand.Scratch) (bound int64, kind Kind, ok bool) {
+	if sc != nil && sc.Arith(srcs) != nil {
+		r := chunkRegs(sc)
+		return best(ts, srcs, &r)
+	}
+	return best(ts, srcs, &regs[numeric.Fast]{})
+}
+
+// best is BestSources on the given accumulators. One utilization sum
+// feeds every candidate bound.
+func best[S numeric.Exact[S]](ts model.TaskSet, srcs []demand.Source, r *regs[S]) (bound int64, kind Kind, ok bool) {
+	switch r.util(srcs) {
 	case 1:
 		return 0, KindNone, false
 	case 0:
@@ -260,9 +251,9 @@ func BestSources(ts model.TaskSet, srcs []demand.Source) (bound int64, kind Kind
 			bound, kind, ok = b, k, true
 		}
 	}
-	b, okB := baruahU(ts, u)
+	b, okB := r.baruah(ts)
 	consider(b, KindBaruah, okB)
-	bg, okG, bs, okS := linearBoundsU(srcs, u)
+	bg, okG, bs, okS := r.linear(srcs, 0)
 	consider(bg, KindGeorge, okG)
 	consider(bs, KindSuperposition, okS)
 	return bound, kind, ok
@@ -284,118 +275,4 @@ func fullUtilBound(ts model.TaskSet) (int64, Kind, bool) {
 		return 0, KindNone, false
 	}
 	return b, KindHyperperiod, true
-}
-
-// BestSourcesScratch is BestSources on the scratch's bounded-denominator
-// registers: when the chunk plan covers the workload, every slope sum
-// and quotient runs in chunked int64 arithmetic, so the bound stays
-// allocation-free on spread-period sets whose slopes overflow the Fast
-// representation. Both paths are exact, so the result always equals
-// BestSources.
-func BestSourcesScratch(ts model.TaskSet, srcs []demand.Source, sc *demand.Scratch) (bound int64, kind Kind, ok bool) {
-	if sc.Arith(srcs) == nil {
-		return BestSources(ts, srcs)
-	}
-	u := sc.Reg(0)
-	for _, s := range srcs {
-		u.AddRat(s.UtilRat())
-	}
-	switch u.CmpInt(1) {
-	case 1:
-		return 0, KindNone, false
-	case 0:
-		return fullUtilBound(ts)
-	}
-	bound, kind, ok = 0, KindNone, false
-	consider := func(b int64, k Kind, okB bool) {
-		if okB && (!ok || b < bound) {
-			bound, kind, ok = b, k, true
-		}
-	}
-	b, okB := baruahChunked(ts, u, sc)
-	consider(b, KindBaruah, okB)
-	bg, okG, bs, okS := linearBoundsChunked(srcs, u, sc)
-	consider(bg, KindGeorge, okG)
-	consider(bs, KindSuperposition, okS)
-	return bound, kind, ok
-}
-
-// LinearBoundsScratch is LinearBounds on the scratch registers when the
-// chunk plan covers the sources, with identical results.
-func LinearBoundsScratch(srcs []demand.Source, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
-	if sc.Arith(srcs) == nil {
-		return LinearBounds(srcs)
-	}
-	u := sc.Reg(0)
-	for _, s := range srcs {
-		u.AddRat(s.UtilRat())
-	}
-	if u.CmpInt(1) >= 0 {
-		return 0, false, 0, false
-	}
-	return linearBoundsChunked(srcs, u, sc)
-}
-
-// baruahChunked mirrors baruahU on chunk registers. It requires U < 1
-// (the caller dispatched on the utilization) and clobbers registers 4-6.
-func baruahChunked(ts model.TaskSet, u *numeric.Chunked, sc *demand.Scratch) (int64, bool) {
-	if !ts.Constrained() {
-		return 0, false
-	}
-	var maxGap int64
-	for _, t := range ts {
-		maxGap = max(maxGap, t.Period-t.Deadline)
-	}
-	if maxGap == 0 {
-		return 0, true
-	}
-	// ceil(U*maxGap / (1-U))
-	num := sc.Reg(4)
-	num.CopyFrom(u)
-	num.MulInt(maxGap)
-	return ceilQuoChunked(num, u, sc)
-}
-
-// georgeTermChunked computes C - F*num/den into the register t.
-func georgeTermChunked(t *numeric.Chunked, s demand.Source) {
-	num, den := s.UtilRat()
-	t.SetZero()
-	t.AddRat(num, den)
-	t.MulInt(s.JobDeadline(1))
-	t.Neg()
-	t.AddInt(s.WCET())
-}
-
-// linearBoundsChunked mirrors linearBoundsU on chunk registers. It
-// requires U < 1 and clobbers registers 1-6 (register 0 conventionally
-// holds u).
-func linearBoundsChunked(srcs []demand.Source, u *numeric.Chunked, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
-	sumPos, sumAll, term := sc.Reg(1), sc.Reg(2), sc.Reg(3)
-	var dmax int64
-	for _, s := range srcs {
-		georgeTermChunked(term, s)
-		sumAll.Add(term)
-		if term.Sign() > 0 {
-			sumPos.Add(term)
-		}
-		dmax = max(dmax, s.JobDeadline(1))
-	}
-	george, okG = ceilQuoChunked(sumPos, u, sc)
-	b, okB := ceilQuoChunked(sumAll, u, sc)
-	if !okB {
-		return george, okG, 0, false
-	}
-	return george, okG, max(b, dmax), true
-}
-
-// ceilQuoChunked is ceilQuo on chunk registers: ceil(sum/(1-u)) with
-// non-positive sums yielding 0. It clobbers registers 5 and 6.
-func ceilQuoChunked(sum, u *numeric.Chunked, sc *demand.Scratch) (int64, bool) {
-	if sum.Sign() <= 0 {
-		return 0, true
-	}
-	den := sc.Reg(5)
-	den.SetInt(1)
-	den.Sub(u)
-	return numeric.QuoCeilChunked(sum, den, sc.Reg(6))
 }

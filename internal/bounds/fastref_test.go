@@ -135,26 +135,30 @@ func TestFastBoundsMatchReference(t *testing.T) {
 		if gb, gok := GeorgeWithBlocking(srcs, rng.Int63n(1000)); gok {
 			_ = gb // smoke: must not panic; exactness is covered via George's shared path
 		}
-		lg, lokG, ls, lokS := LinearBounds(srcs)
 		gb, gok := George(srcs)
 		sb, sok := Superposition(srcs)
-		if lg != gb || lokG != gok || ls != sb || lokS != sok {
-			t.Fatalf("LinearBounds(%v) = (%d,%v,%d,%v), want George (%d,%v) / Superposition (%d,%v)",
-				ts, lg, lokG, ls, lokS, gb, gok, sb, sok)
+		for _, sc := range []*demand.Scratch{nil, demand.NewScratch()} {
+			lg, lokG, ls, lokS := LinearBounds(srcs, sc)
+			if lg != gb || lokG != gok || ls != sb || lokS != sok {
+				t.Fatalf("LinearBounds(%v, scratch %v) = (%d,%v,%d,%v), want George (%d,%v) / Superposition (%d,%v)",
+					ts, sc != nil, lg, lokG, ls, lokS, gb, gok, sb, sok)
+			}
 		}
 	}
 }
 
-// TestBestSourcesMatchesBest pins the scratch-oriented entry point to the
-// classic one.
+// TestBestSourcesMatchesBest pins the scratch-oriented entry point, on
+// numeric.Fast and on the chunk registers, to the classic one.
 func TestBestSourcesMatchesBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for range 300 {
 		ts := randomBoundSet(rng, 10000)
 		b1, k1, ok1 := Best(ts)
-		b2, k2, ok2 := BestSources(ts, demand.FromTasks(ts))
-		if b1 != b2 || k1 != k2 || ok1 != ok2 {
-			t.Fatalf("BestSources(%v) = (%d,%s,%v), Best (%d,%s,%v)", ts, b2, k2, ok2, b1, k1, ok1)
+		for _, sc := range []*demand.Scratch{nil, demand.NewScratch()} {
+			b2, k2, ok2 := BestSources(ts, demand.FromTasks(ts), sc)
+			if b1 != b2 || k1 != k2 || ok1 != ok2 {
+				t.Fatalf("BestSources(%v, scratch %v) = (%d,%s,%v), Best (%d,%s,%v)", ts, sc != nil, b2, k2, ok2, b1, k1, ok1)
+			}
 		}
 	}
 }

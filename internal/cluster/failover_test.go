@@ -27,7 +27,7 @@ func TestAnalyzeFailover(t *testing.T) {
 	// Warm phase: learn which replica owns which set.
 	owner := make([]string, len(sets))
 	for i, ts := range sets {
-		_, rt, err := tc.c.AnalyzeRouted(ctx, service.AnalyzeRequest{Workload: edf.SporadicWorkload(ts)})
+		_, rt, err := tc.c.Analyze(ctx, service.AnalyzeRequest{Workload: edf.SporadicWorkload(ts)})
 		if err != nil {
 			t.Fatalf("warm analyze %d: %v", i, err)
 		}
@@ -39,7 +39,7 @@ func TestAnalyzeFailover(t *testing.T) {
 	// Every set — including those owned by the victim — must still get a
 	// verdict, now entirely from the survivor.
 	for i, ts := range sets {
-		resp, rt, err := tc.c.AnalyzeRouted(ctx, service.AnalyzeRequest{Workload: edf.SporadicWorkload(ts)})
+		resp, rt, err := tc.c.Analyze(ctx, service.AnalyzeRequest{Workload: edf.SporadicWorkload(ts)})
 		if err != nil {
 			t.Fatalf("post-kill analyze %d (owner %s): %v", i, owner[i], err)
 		}
@@ -76,12 +76,12 @@ func TestBatchFailover(t *testing.T) {
 			Name: fmt.Sprintf("set-%d", i), Workload: edf.SporadicWorkload(ts),
 		})
 	}
-	warm, _, err := tc.c.BatchRouted(ctx, req)
+	warm, _, err := tc.c.Batch(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc.sp.Replicas[0].Kill()
-	resp, rt, err := tc.c.BatchRouted(ctx, req)
+	resp, rt, err := tc.c.Batch(ctx, req)
 	if err != nil {
 		t.Fatalf("batch after kill: %v", err)
 	}

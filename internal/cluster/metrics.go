@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -186,29 +185,21 @@ type fleetBucket struct {
 }
 
 // writeFleetQuantiles re-derives edfd_propose_ns_p50/p99 from the summed
-// cumulative buckets. Replica pages without buckets (an older edfd) just
-// produce no fleet quantiles.
+// cumulative buckets with the replicas' own quantile function. Replica
+// pages without buckets (an older edfd) just produce no fleet quantiles.
 func writeFleetQuantiles(ew *obs.ExpositionWriter, bs []fleetBucket) {
 	if len(bs) == 0 {
 		return
 	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-	count := bs[len(bs)-1].cum
-	quantile := func(q float64) int64 {
-		if count <= 0 {
-			return 0
-		}
-		rank := q * count
-		if rank < 1 {
-			rank = 1
-		}
-		for _, b := range bs {
-			if b.cum >= rank {
-				return b.le
-			}
-		}
-		return bs[len(bs)-1].le
+	var cum [obs.HistBuckets]uint64
+	for _, b := range bs {
+		cum[obs.BucketOf(b.le)] = uint64(b.cum)
 	}
+	// A bucket missing from the pages holds the count of the one below.
+	for i := 1; i < len(cum); i++ {
+		cum[i] = max(cum[i], cum[i-1])
+	}
+	quantile := func(q float64) int64 { return obs.HistQuantile(cum, cum[len(cum)-1], q) }
 	ew.Family("edfd_propose_ns_p50", obs.Gauge, "Fleet median proposal latency, from summed buckets.")
 	ew.Sample("edfd_propose_ns_p50", nil, float64(quantile(0.50)))
 	ew.Family("edfd_propose_ns_p99", obs.Gauge, "Fleet 99th-percentile proposal latency, from summed buckets.")

@@ -90,7 +90,7 @@ func TestProxyAnalyzeAffinity(t *testing.T) {
 	sets := genSets(t, 24, 11)
 	servedBy := map[string]int{}
 	for i, ts := range sets {
-		first, rt1, err := tc.c.AnalyzeRouted(ctx, service.AnalyzeRequest{
+		first, rt1, err := tc.c.Analyze(ctx, service.AnalyzeRequest{
 			Name: fmt.Sprintf("set-%d", i), Workload: edf.SporadicWorkload(ts),
 		})
 		if err != nil {
@@ -102,7 +102,7 @@ func TestProxyAnalyzeAffinity(t *testing.T) {
 		if rt1.Replica == "" || rt1.Attempts != 1 {
 			t.Fatalf("set %d: route %+v", i, rt1)
 		}
-		again, rt2, err := tc.c.AnalyzeRouted(ctx, service.AnalyzeRequest{
+		again, rt2, err := tc.c.Analyze(ctx, service.AnalyzeRequest{
 			Name: fmt.Sprintf("set-%d", i), Workload: edf.SporadicWorkload(ts),
 		})
 		if err != nil {
@@ -180,7 +180,7 @@ func TestProxyBatchSplitMerge(t *testing.T) {
 	}
 	req.Sets = append(req.Sets, service.WorkloadSet{Name: "events", Workload: edf.EventWorkload(eventSet())})
 
-	resp, rt, err := tc.c.BatchRouted(ctx, req)
+	resp, rt, err := tc.c.Batch(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestProxyBatchSplitMerge(t *testing.T) {
 
 	// Determinism + affinity: the identical batch re-merges to the exact
 	// same payload, now fully from the caches.
-	again, _, err := tc.c.BatchRouted(ctx, req)
+	again, _, err := tc.c.Batch(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestSessionTakeover(t *testing.T) {
 	}
 
 	// Learn the sticky owner from the route metadata, then kill it.
-	_, rt, err := h.StateRouted(ctx)
+	_, rt, err := h.State(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSessionTakeover(t *testing.T) {
 
 	// The session now sticks to the new owner: no takeover attribution on
 	// the next request, and commit lands normally.
-	_, rt3, err := h.StateRouted(ctx)
+	_, rt3, err := h.State(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTakeoverDrainsManySessions(t *testing.T) {
 	}
 	// Kill whichever replica owns session 0; its other sessions ride the
 	// same takeover path, sessions of surviving owners are untouched.
-	_, rt, err := handles[0].StateRouted(ctx)
+	_, rt, err := handles[0].State(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,12 @@ import (
 func AllApprox(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOneScratch(ts, opt.Scratch) > 0 {
-		return Result{Verdict: Infeasible, Iterations: 1}
-	}
-	stopAt, kind, ok := fullUtilizationHorizon(ts)
+	srcs := opt.Scratch.Sources(ts)
+	stopAt, kind, ok := fullUtilizationHorizon(ts, srcs, opt.Scratch)
 	if !ok {
 		return Result{Verdict: Undecided}
 	}
-	r := AllApproxSources(opt.Scratch.Sources(ts), stopAt, opt)
+	r := AllApproxSources(srcs, stopAt, opt)
 	if stopAt > 0 {
 		r.Bound, r.BoundKind = stopAt, kind
 	}
@@ -39,17 +37,14 @@ func AllApprox(ts model.TaskSet, opt Options) Result {
 // fullUtilizationHorizon returns a sound stop horizon for a fully utilized
 // set (U == 1), where the superposition bound is infinite: beyond
 // hyperperiod + Dmax the demand pattern repeats with slope exactly 1.
-// For U < 1 it returns 0 (no horizon needed). ok is false when U == 1 and
-// the hyperperiod overflows.
-func fullUtilizationHorizon(ts model.TaskSet) (int64, bounds.Kind, bool) {
-	if taskUtilCmpOne(ts) != 0 {
+// For U != 1 it returns 0 (no horizon needed; U > 1 is rejected by the
+// walk's own utilization check). ok is false when U == 1 and the
+// hyperperiod overflows.
+func fullUtilizationHorizon(ts model.TaskSet, srcs []demand.Source, sc *demand.Scratch) (int64, bounds.Kind, bool) {
+	if utilCmpOne(srcs, sc) != 0 {
 		return 0, bounds.KindNone, true
 	}
-	b, kind, ok := bounds.Best(ts)
-	if !ok {
-		return 0, bounds.KindNone, false
-	}
-	return b, kind, true
+	return bounds.BestSources(ts, srcs, sc)
 }
 
 // AllApproxSources runs the all-approximated test over generic demand
@@ -58,7 +53,7 @@ func fullUtilizationHorizon(ts model.TaskSet) (int64, bounds.Kind, bool) {
 func AllApproxSources(srcs []demand.Source, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch utilCmpOneScratch(srcs, opt.Scratch) {
+	switch utilCmpOne(srcs, opt.Scratch) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1}
 	case 0:
@@ -70,25 +65,26 @@ func AllApproxSources(srcs []demand.Source, stopAt int64, opt Options) Result {
 	}
 	switch opt.Arithmetic {
 	case ArithFloat64:
-		return allApprox(numeric.F64(0), srcs, stopAt, opt)
+		return allApprox(numeric.F64(0), numeric.F64(0), srcs, stopAt, opt)
 	case ArithBigRat:
-		return allApprox(numeric.Rat{}, srcs, stopAt, opt)
+		return allApprox(numeric.Rat{}, numeric.Rat{}, srcs, stopAt, opt)
 	default:
 		if opt.Scratch.Arith(srcs) != nil {
-			return allApproxChunked(srcs, stopAt, opt)
+			return allApprox(opt.Scratch.Reg(0), opt.Scratch.Reg(1), srcs, stopAt, opt)
 		}
-		return allApprox(numeric.Fast{}, srcs, stopAt, opt)
+		return allApprox(numeric.Fast{}, numeric.Fast{}, srcs, stopAt, opt)
 	}
 }
 
-func allApprox[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int64, opt Options) Result {
+// allApprox is the arithmetic-generic walk; dbf and uready are its two
+// zero accumulators, chosen as in superPos.
+func allApprox[S numeric.Scalar[S]](dbf, uready S, srcs []demand.Source, stopAt int64, opt Options) Result {
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs))
 	for i, s := range srcs {
 		tl.Add(s.JobDeadline(1), i)
 	}
 	approx := newApproxTracker(opt.Scratch, len(srcs))
-	dbf, uready := zero, zero
 	var iold, iterations, revisions int64
 	for !tl.Empty() {
 		e := tl.Next()
@@ -114,7 +110,7 @@ func allApprox[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int64, 
 						Revisions: revisions, FailureInterval: I}
 				}
 				// Float-mode drift: re-synchronize and continue.
-				dbf = zero.AddInt(exact)
+				dbf = dbf.SetInt(exact)
 				break
 			}
 			// Revise j: replace its approximated cost by the real cost at I
@@ -132,67 +128,6 @@ func allApprox[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int64, 
 		// Approximate the source whose interval was just verified.
 		if num, den := s.UtilRat(); num > 0 {
 			uready = uready.AddRat(num, den)
-			approx.add(e.Src)
-		}
-		iold = I
-	}
-	return Result{Verdict: Feasible, Iterations: iterations, Revisions: revisions}
-}
-
-// allApproxChunked is allApprox on the scratch's bounded-denominator
-// registers (see superPosChunked); structure and verdicts match the
-// generic exact implementation bit for bit. The caller guarantees the
-// scratch plan covers the sources.
-func allApproxChunked(srcs []demand.Source, stopAt int64, opt Options) Result {
-	tl := opt.Scratch.TestList(len(srcs))
-	jobs := opt.Scratch.Jobs(len(srcs))
-	for i, s := range srcs {
-		tl.Add(s.JobDeadline(1), i)
-	}
-	approx := newApproxTracker(opt.Scratch, len(srcs))
-	dbf, uready := opt.Scratch.Reg(0), opt.Scratch.Reg(1)
-	var iold, iterations, revisions int64
-	for !tl.Empty() {
-		e := tl.Next()
-		I := e.I
-		if stopAt > 0 && I >= stopAt {
-			return Result{Verdict: Feasible, Iterations: iterations, Revisions: revisions}
-		}
-		iterations++
-		if opt.capped(iterations) {
-			return Result{Verdict: Undecided, Iterations: iterations, Revisions: revisions}
-		}
-		s := srcs[e.Src]
-		jobs[e.Src]++
-		dbf.AddInt(s.WCET())
-		dbf.AddScaled(uready, I-iold)
-		capacity := opt.capacityAt(I)
-		for dbf.CmpInt(capacity) > 0 {
-			j, ok := approx.pick(opt.RevisionOrder, srcs, I)
-			if !ok {
-				// Nothing is approximated: the accounted demand is exact.
-				exact := accountedDemand(srcs, jobs)
-				if exact > capacity {
-					return Result{Verdict: Infeasible, Iterations: iterations,
-						Revisions: revisions, FailureInterval: I}
-				}
-				dbf.SetInt(exact)
-				break
-			}
-			// Revise j: replace its approximated cost by the real cost at I
-			// and queue its next job deadline as a new test interval.
-			sj := srcs[j]
-			num, den := sj.UtilRat()
-			uready.SubRat(num, den)
-			an, ad := sj.ApproxError(I)
-			dbf.SubRat(an, ad)
-			jobs[j] = sj.JobsUpTo(I)
-			tl.Add(sj.NextDeadline(I), j)
-			revisions++
-		}
-		// Approximate the source whose interval was just verified.
-		if num, den := s.UtilRat(); num > 0 {
-			uready.AddRat(num, den)
 			approx.add(e.Src)
 		}
 		iold = I

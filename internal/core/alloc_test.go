@@ -58,7 +58,8 @@ func TestQPAZeroAlloc(t *testing.T) {
 // the shape that used to fall off the int64 fast path into big.Rat on
 // every slope sum. With the bounded-denominator plan it must stay
 // allocation-free end to end; this is the PR-9 acceptance pin behind the
-// BenchmarkSuperPosSpread / BenchmarkProcessorDemandSpread numbers.
+// BenchmarkSuperPosSpread / BenchmarkProcessorDemandSpread numbers. The
+// utilization test shares the chunk registers, so it is pinned too.
 func TestSpreadZeroAlloc(t *testing.T) {
 	ts := benchSpreadSet(50, 95, 13)
 	opt := Options{Scratch: demand.NewScratch()}
@@ -68,6 +69,7 @@ func TestSpreadZeroAlloc(t *testing.T) {
 	for name, run := range map[string]func(){
 		"ProcessorDemand": func() { ProcessorDemand(ts, opt) },
 		"SuperPos":        func() { SuperPos(ts, 3, opt) },
+		"LiuLayland":      func() { LiuLayland(ts, opt) },
 	} {
 		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 			t.Errorf("%s on the spread set allocates %.1f/op, want 0", name, allocs)

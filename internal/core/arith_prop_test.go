@@ -9,9 +9,11 @@ package core
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bounds"
 	"repro/internal/demand"
 	"repro/internal/eventstream"
 	"repro/internal/model"
@@ -68,6 +70,117 @@ func compareResults(t *testing.T, what string, fast, ref Result) {
 	}
 }
 
+// refCeil rounds a big.Rat up to int64 with the bounds package's
+// semantics: non-positive values yield 0, ok is false on overflow.
+func refCeil(r *big.Rat) (int64, bool) {
+	if r.Sign() <= 0 {
+		return 0, true
+	}
+	num := new(big.Int).Add(r.Num(), new(big.Int).Sub(r.Denom(), big.NewInt(1)))
+	num.Div(num, r.Denom())
+	if !num.IsInt64() {
+		return 0, false
+	}
+	return num.Int64(), true
+}
+
+// refBest is the default bound selection in math/big: the smallest of
+// the Baruah, George and superposition formulas (as in the bounds
+// package's fastref_test) for U < 1, hyperperiod + Dmax + 1 for U == 1.
+// It returns (0, "") where the analyzers report no bound.
+func refBest(ts model.TaskSet) (int64, bounds.Kind) {
+	one := big.NewRat(1, 1)
+	u := ts.Utilization()
+	switch u.Cmp(one) {
+	case 1:
+		return 0, ""
+	case 0:
+		h, ok := bounds.Hyperperiod(ts)
+		if b := new(big.Int).SetInt64(h); ok && b.Add(b, big.NewInt(ts.MaxDeadline()+1)).IsInt64() {
+			return b.Int64(), bounds.KindHyperperiod
+		}
+		return 0, ""
+	}
+	free := new(big.Rat).Sub(one, u)
+	best, kind := int64(0), bounds.Kind("")
+	consider := func(b int64, k bounds.Kind, ok bool) {
+		if ok && (kind == "" || b < best) {
+			best, kind = b, k
+		}
+	}
+	if ts.Constrained() {
+		var maxGap int64
+		for _, t := range ts {
+			maxGap = max(maxGap, t.Period-t.Deadline)
+		}
+		b, ok := refCeil(new(big.Rat).Quo(new(big.Rat).Mul(u, big.NewRat(maxGap, 1)), free))
+		consider(b, bounds.KindBaruah, ok)
+	}
+	pos, all := new(big.Rat), new(big.Rat)
+	var dmax int64
+	for _, t := range ts {
+		term := new(big.Rat).Sub(big.NewRat(t.WCET, 1), new(big.Rat).Mul(big.NewRat(t.WCET, t.Period), big.NewRat(t.Deadline, 1)))
+		all.Add(all, term)
+		if term.Sign() > 0 {
+			pos.Add(pos, term)
+		}
+		dmax = max(dmax, t.Deadline)
+	}
+	b, ok := refCeil(pos.Quo(pos, free))
+	consider(b, bounds.KindGeorge, ok)
+	b, ok = refCeil(all.Quo(all, free))
+	consider(max(b, dmax), bounds.KindSuperposition, ok)
+	return best, kind
+}
+
+// refDevi is Devi's test in math/big, with the prefix condition in its
+// original division form.
+func refDevi(ts model.TaskSet) Result {
+	one := big.NewRat(1, 1)
+	if ts.Utilization().Cmp(one) > 0 {
+		return Result{Verdict: Infeasible, Iterations: 1}
+	}
+	cumU, cumGap := new(big.Rat), new(big.Rat)
+	var iterations int64
+	for _, t := range ts.SortedByDeadline() {
+		iterations++
+		cumU.Add(cumU, big.NewRat(t.WCET, t.Period))
+		gap := t.Period - min(t.Period, t.Deadline)
+		cumGap.Add(cumGap, new(big.Rat).Mul(big.NewRat(gap, t.Period), big.NewRat(t.WCET, 1)))
+		cond := new(big.Rat).Quo(cumGap, big.NewRat(t.Deadline, 1))
+		if cond.Add(cond, cumU).Cmp(one) > 0 {
+			return Result{Verdict: NotAccepted, Iterations: iterations, FailureInterval: t.Deadline}
+		}
+	}
+	return Result{Verdict: Feasible, Iterations: iterations}
+}
+
+// refLiuLayland is Liu & Layland's test in math/big.
+func refLiuLayland(ts model.TaskSet) Result {
+	if ts.Utilization().Cmp(big.NewRat(1, 1)) > 0 {
+		return Result{Verdict: Infeasible, Iterations: 1}
+	}
+	for _, t := range ts {
+		if t.Deadline < t.Period {
+			return Result{Verdict: NotAccepted, Iterations: 1}
+		}
+	}
+	return Result{Verdict: Feasible, Iterations: 1}
+}
+
+// compareClosedForms pins Devi, LiuLayland and the default bound
+// selection (ProcessorDemand's Bound/BoundKind) under opt to their
+// big.Rat oracles.
+func compareClosedForms(t *testing.T, what string, ts model.TaskSet, opt Options) {
+	t.Helper()
+	compareResults(t, what+"/devi", DeviOpt(ts, opt), refDevi(ts))
+	compareResults(t, what+"/liu", LiuLayland(ts, opt), refLiuLayland(ts))
+	r := ProcessorDemand(ts, opt)
+	if b, k := refBest(ts); r.Bound != b || r.BoundKind != k {
+		t.Fatalf("%s/bound: (%d, %q), big.Rat reference (%d, %q) for %v", what, r.Bound, r.BoundKind, b, k, ts)
+	}
+}
+
 // TestFastArithmeticMatchesBigRatSporadic runs every scalar-based
 // analyzer on random sporadic sets under both exact arithmetic modes.
 func TestFastArithmeticMatchesBigRatSporadic(t *testing.T) {
@@ -85,6 +198,7 @@ func TestFastArithmeticMatchesBigRatSporadic(t *testing.T) {
 		// ProcessorDemand has no scalar accumulator, but its bound now
 		// runs on fast arithmetic; pin it against itself across modes.
 		compareResults(t, "pd", ProcessorDemand(ts, fast), ProcessorDemand(ts, ref))
+		compareClosedForms(t, "sporadic", ts, fast)
 	}
 }
 
@@ -150,6 +264,7 @@ func TestFastArithmeticMatchesBigRatSpread(t *testing.T) {
 			compareResults(t, "dynamic", DynamicError(ts, fast), DynamicError(ts, ref))
 			compareResults(t, "pd", ProcessorDemand(ts, fast), ProcessorDemand(ts, ref))
 			compareResults(t, "qpa", QPA(ts, fast), QPA(ts, ref))
+			compareClosedForms(t, "spread", ts, fast)
 		}
 	}
 }
@@ -199,6 +314,7 @@ func TestChunkPlanCapBoundary(t *testing.T) {
 		compareResults(t, tc.name+"/superpos", SuperPos(ts, 3, fast), SuperPos(ts, 3, ref))
 		compareResults(t, tc.name+"/allapprox", AllApprox(ts, fast), AllApprox(ts, ref))
 		compareResults(t, tc.name+"/devi", DeviOpt(ts, fast), DeviOpt(ts, ref))
+		compareClosedForms(t, tc.name, ts, fast)
 		if promoted := sc.ArithPromotions() > 0; promoted != tc.promoted {
 			t.Fatalf("%s: promotions=%d, want promoted=%v",
 				tc.name, sc.ArithPromotions(), tc.promoted)
@@ -258,7 +374,7 @@ func TestProcessorDemandSourcesFullUtilization(t *testing.T) {
 		{WCET: 1, Deadline: 2, Period: 2},
 	}
 	// U = 2/4 + 1/2 = 1 exactly.
-	if got := taskUtilCmpOne(ts); got != 0 {
+	if got := utilCmpOne(demand.FromTasks(ts), demand.NewScratch()); got != 0 {
 		t.Fatalf("test set utilization cmp 1 = %d, want 0", got)
 	}
 	srcs := demand.FromTasks(ts)

@@ -81,7 +81,7 @@ func TestSufficientTestsNeverOveraccept(t *testing.T) {
 			name string
 			r    Result
 		}{
-			{"liu-layland", LiuLayland(ts)},
+			{"liu-layland", LiuLayland(ts, Options{})},
 			{"devi", Devi(ts)},
 			{"superpos1", SuperPos(ts, 1, Options{})},
 			{"superpos2", SuperPos(ts, 2, Options{})},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/demand"
 	"repro/internal/model"
 	"repro/internal/numeric"
 )
@@ -21,70 +20,47 @@ func Devi(ts model.TaskSet) Result { return DeviOpt(ts, Options{}) }
 
 // DeviOpt is Devi honoring Options: with a reused Scratch the test runs
 // allocation-free — the deadline-sorted copy lives in a scratch buffer
-// and the prefix accumulators in the chunk register bank (falling back
-// to numeric.Fast when the denominator plan cannot cover the periods).
-// Only the Scratch field influences the execution; the verdict is
-// identical for any Options value.
+// and the prefix accumulators in the chunk register bank (numeric.Fast
+// when the denominator plan cannot cover the periods). With Blocking set
+// each prefix condition is checked against the reduced capacity
+// Dk - B(Dk), Devi's blocking extension. No other field influences the
+// execution.
 func DeviOpt(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOneScratch(ts, opt.Scratch) > 0 {
+	srcs := opt.Scratch.Sources(ts)
+	if utilCmpOne(srcs, opt.Scratch) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
 	sorted := opt.Scratch.SortedByDeadline(ts)
-	if opt.Scratch.ArithTasks(ts) != nil {
-		return deviChunked(sorted, opt.Scratch)
+	if sc := opt.Scratch; sc.Arith(srcs) != nil {
+		return devi(sc.Reg(0), sc.Reg(1), sc.Reg(2), sc.Reg(3), sorted, opt)
 	}
-	return deviFast(sorted)
+	var zero numeric.Fast
+	return devi(zero, zero, zero, zero, sorted, opt)
 }
 
-// deviFast evaluates the prefix conditions in numeric.Fast arithmetic.
-func deviFast(sorted model.TaskSet) Result {
-	var cumU numeric.Fast   // Σ Ci/Ti
-	var cumGap numeric.Fast // Σ (Ti - min(Ti,Di))/Ti · Ci
+// devi evaluates the prefix conditions over the deadline-sorted tasks.
+// cumU, cumGap, cond and term are zero accumulators of their own, so no
+// intermediate ever overwrites a running sum it is built from.
+func devi[S numeric.Exact[S]](cumU, cumGap, cond, term S, sorted model.TaskSet, opt Options) Result {
 	var iterations int64
 	for _, t := range sorted {
 		iterations++
 		cumU = cumU.AddRat(t.WCET, t.Period)
 		if gap := t.Period - min(t.Period, t.Deadline); gap > 0 {
-			cumGap = cumGap.Add(numeric.NewFast(gap, t.Period).MulInt(t.WCET))
-		}
-		// cumU + cumGap/Dk <= 1  ⇔  cumU·Dk + cumGap <= Dk (Dk > 0).
-		cond := cumU.MulInt(t.Deadline).Add(cumGap)
-		if cond.CmpInt(t.Deadline) > 0 {
-			return Result{
-				Verdict:         NotAccepted,
-				Iterations:      iterations,
-				FailureInterval: t.Deadline,
-			}
-		}
-	}
-	return Result{Verdict: Feasible, Iterations: iterations}
-}
-
-// deviChunked evaluates the prefix conditions on the chunk registers.
-// The caller guarantees the scratch plan covers the task periods.
-func deviChunked(sorted model.TaskSet, sc *demand.Scratch) Result {
-	cumU, cumGap, cond, tmp := sc.Reg(0), sc.Reg(1), sc.Reg(2), sc.Reg(3)
-	var iterations int64
-	for _, t := range sorted {
-		iterations++
-		cumU.AddRat(t.WCET, t.Period)
-		if gap := t.Period - min(t.Period, t.Deadline); gap > 0 {
+			// gap·C/T, scaled in term when gap·C overflows int64.
 			if num, ok := numeric.MulChecked(gap, t.WCET); ok {
-				cumGap.AddRat(num, t.Period)
+				cumGap = cumGap.AddRat(num, t.Period)
 			} else {
-				tmp.SetZero()
-				tmp.AddRat(gap, t.Period)
-				tmp.MulInt(t.WCET)
-				cumGap.Add(tmp)
+				term = term.SetInt(0).AddRat(gap, t.Period).MulInt(t.WCET)
+				cumGap = cumGap.Add(term)
 			}
 		}
-		// cumU + cumGap/Dk <= 1  ⇔  cumU·Dk + cumGap <= Dk (Dk > 0).
-		cond.CopyFrom(cumU)
-		cond.MulInt(t.Deadline)
-		cond.Add(cumGap)
-		if cond.CmpInt(t.Deadline) > 0 {
+		// cumU + (cumGap + B(Dk))/Dk <= 1  ⇔  cumU·Dk + cumGap <= Dk - B(Dk)
+		// (Dk > 0; B = 0 without blocking).
+		cond = cond.Set(cumU).MulInt(t.Deadline).Add(cumGap)
+		if cond.CmpInt(opt.capacityAt(t.Deadline)) > 0 {
 			return Result{
 				Verdict:         NotAccepted,
 				Iterations:      iterations,

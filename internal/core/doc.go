@@ -18,6 +18,16 @@
 // exact integer arithmetic, so Infeasible verdicts are never rounding
 // artifacts.
 //
+// Each exact routine — the superposition and all-approximated walks,
+// Devi's prefix check, the utilization check every test starts with, and
+// the feasibility bounds — has one generic body (numeric.Scalar or
+// numeric.Exact). By default it runs on the Scratch's bounded-denominator
+// chunk registers, and falls back to numeric.Fast when the chunk plan
+// cannot cover the periods (more than numeric.MaxChunks mutually
+// incompatible ones); ArithFloat64 and ArithBigRat instantiate the walks
+// with numeric.F64 and numeric.Rat. The fallback is counted as an
+// arithmetic promotion.
+//
 // The iterative tests operate on demand.Source values, so they apply
 // unchanged to sporadic task sets and to Gresser event streams
 // (internal/eventstream), the extension Section 2 of the paper promises.

@@ -21,14 +21,12 @@ import (
 func DynamicError(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOne(ts) > 0 {
-		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: 1}
-	}
-	stopAt, kind, ok := fullUtilizationHorizon(ts)
+	srcs := opt.Scratch.Sources(ts)
+	stopAt, kind, ok := fullUtilizationHorizon(ts, srcs, opt.Scratch)
 	if !ok {
 		return Result{Verdict: Undecided}
 	}
-	r := DynamicErrorSources(opt.Scratch.Sources(ts), stopAt, opt)
+	r := DynamicErrorSources(srcs, stopAt, opt)
 	if stopAt > 0 {
 		r.Bound, r.BoundKind = stopAt, kind
 	}
@@ -41,7 +39,7 @@ func DynamicError(ts model.TaskSet, opt Options) Result {
 func DynamicErrorSources(srcs []demand.Source, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch utilCmpOne(srcs) {
+	switch utilCmpOne(srcs, opt.Scratch) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: 1}
 	case 0:
@@ -52,15 +50,17 @@ func DynamicErrorSources(srcs []demand.Source, stopAt int64, opt Options) Result
 	}
 	switch opt.Arithmetic {
 	case ArithFloat64:
-		return dynamicError(numeric.F64(0), srcs, stopAt, opt)
+		return dynamicError(numeric.F64(0), numeric.F64(0), srcs, stopAt, opt)
 	case ArithBigRat:
-		return dynamicError(numeric.Rat{}, srcs, stopAt, opt)
+		return dynamicError(numeric.Rat{}, numeric.Rat{}, srcs, stopAt, opt)
 	default:
-		return dynamicError(numeric.Fast{}, srcs, stopAt, opt)
+		return dynamicError(numeric.Fast{}, numeric.Fast{}, srcs, stopAt, opt)
 	}
 }
 
-func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int64, opt Options) Result {
+// dynamicError is the arithmetic-generic walk; dbf and uready are its two
+// zero accumulators.
+func dynamicError[S numeric.Scalar[S]](dbf, uready S, srcs []demand.Source, stopAt int64, opt Options) Result {
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs))
 	for i, s := range srcs {
@@ -68,7 +68,6 @@ func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int6
 	}
 	approx := newApproxTracker(opt.Scratch, len(srcs))
 	level := int64(1)
-	dbf, uready := zero, zero
 	var iold, iterations, revisions int64
 	for !tl.Empty() {
 		e := tl.Next()
@@ -91,7 +90,7 @@ func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int6
 					return Result{Verdict: Infeasible, Iterations: iterations,
 						Revisions: revisions, FailureInterval: I, MaxLevel: level}
 				}
-				dbf = zero.AddInt(exact) // float-mode drift: re-synchronize
+				dbf = dbf.SetInt(exact) // float-mode drift: re-synchronize
 				break
 			}
 			// Raise the level (doubling, as the paper proposes) until at

@@ -97,7 +97,7 @@ func TestOverUtilizedShortCircuit(t *testing.T) {
 		{WCET: 2, Deadline: 4, Period: 4},
 	}
 	for name, r := range map[string]Result{
-		"liu":     LiuLayland(ts),
+		"liu":     LiuLayland(ts, Options{}),
 		"devi":    Devi(ts),
 		"sp":      SuperPos(ts, 3, Options{}),
 		"pd":      ProcessorDemand(ts, Options{}),
@@ -281,7 +281,7 @@ func TestSingleTaskEdgeCases(t *testing.T) {
 	// C == D == T: exactly schedulable.
 	ts := model.TaskSet{{WCET: 5, Deadline: 5, Period: 5}}
 	for name, r := range map[string]Result{
-		"liu": LiuLayland(ts), "devi": Devi(ts),
+		"liu": LiuLayland(ts, Options{}), "devi": Devi(ts),
 		"pd": ProcessorDemand(ts, Options{}), "qpa": QPA(ts, Options{}),
 		"dynamic": DynamicError(ts, Options{}), "all": AllApprox(ts, Options{}),
 	} {
@@ -293,7 +293,7 @@ func TestSingleTaskEdgeCases(t *testing.T) {
 	ts = model.TaskSet{{WCET: 4, Deadline: 9, Period: 5}}
 	for name, r := range map[string]Result{
 		"pd": ProcessorDemand(ts, Options{}), "dynamic": DynamicError(ts, Options{}),
-		"all": AllApprox(ts, Options{}), "liu": LiuLayland(ts),
+		"all": AllApprox(ts, Options{}), "liu": LiuLayland(ts, Options{}),
 	} {
 		if r.Verdict != Feasible {
 			t.Errorf("%s on D>T: %v", name, r.Verdict)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/big"
 	"slices"
 
 	"repro/internal/bounds"
@@ -153,34 +152,6 @@ func ProcessorDemandWithOverheads(ts model.TaskSet, ov Overheads, opt Options) R
 // where B is the SRP blocking function and WCETs include the context
 // switch and self-suspension charges.
 func DeviWithOverheads(ts model.TaskSet, ov Overheads) Result {
-	inflated := InflateOverheads(ts, ov)
-	if taskUtilCmpOne(inflated) > 0 {
-		return Result{Verdict: Infeasible, Iterations: 1}
-	}
-	ratOne := big.NewRat(1, 1) // loop compare below stays on big.Rat
-	blocking := SRPBlocking(inflated)
-	sorted := inflated.SortedByDeadline()
-	cumU := new(big.Rat)
-	cumGap := new(big.Rat)
-	cond := new(big.Rat)
-	var iterations int64
-	for _, t := range sorted {
-		iterations++
-		cumU.Add(cumU, big.NewRat(t.WCET, t.Period))
-		if gap := t.Period - min(t.Period, t.Deadline); gap > 0 {
-			term := big.NewRat(gap, t.Period)
-			term.Mul(term, new(big.Rat).SetInt64(t.WCET))
-			cumGap.Add(cumGap, term)
-		}
-		num := new(big.Rat).Set(cumGap)
-		if blocking != nil {
-			num.Add(num, new(big.Rat).SetInt64(blocking(t.Deadline)))
-		}
-		cond.Quo(num, new(big.Rat).SetInt64(t.Deadline))
-		cond.Add(cond, cumU)
-		if cond.Cmp(ratOne) > 0 {
-			return Result{Verdict: NotAccepted, Iterations: iterations, FailureInterval: t.Deadline}
-		}
-	}
-	return Result{Verdict: Feasible, Iterations: iterations}
+	inflated, opt := prepareOverheads(ts, ov, Options{})
+	return DeviOpt(inflated, opt)
 }

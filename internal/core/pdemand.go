@@ -7,53 +7,21 @@ import (
 	"repro/internal/numeric"
 )
 
-// utilCmpOne compares the total utilization of the sources with 1. The
-// sum is exact and allocation-free while it stays within int64.
-func utilCmpOne(srcs []demand.Source) int {
-	return demand.UtilCmpOne(srcs)
-}
-
-// utilCmpOneScratch is utilCmpOne on the scratch's chunk registers when
-// the plan covers the sources — exact either way, but allocation-free
-// even when the slope sum overflows the Fast representation.
-func utilCmpOneScratch(srcs []demand.Source, sc *demand.Scratch) int {
-	if sc.Arith(srcs) == nil {
-		return demand.UtilCmpOne(srcs)
+// utilCmpOne compares the sources' total utilization with 1 exactly: on
+// the scratch's chunk registers when its plan covers the sources, in
+// numeric.Fast otherwise. Task sets go through Scratch.Sources.
+func utilCmpOne(srcs []demand.Source, sc *demand.Scratch) int {
+	if sc.Arith(srcs) != nil {
+		return demand.AddUtil(sc.Reg(0), srcs).CmpInt(1)
 	}
-	u := sc.Reg(0)
-	for _, s := range srcs {
-		u.AddRat(s.UtilRat())
-	}
-	return u.CmpInt(1)
-}
-
-// taskUtilCmpOne compares Σ Ci/Ti with 1 exactly without adapting the
-// tasks to sources first.
-func taskUtilCmpOne(ts model.TaskSet) int {
-	var u numeric.Fast
-	for _, t := range ts {
-		u = u.AddRat(t.WCET, t.Period)
-	}
-	return u.CmpInt(1)
-}
-
-// taskUtilCmpOneScratch is taskUtilCmpOne on the chunk registers.
-func taskUtilCmpOneScratch(ts model.TaskSet, sc *demand.Scratch) int {
-	if sc.ArithTasks(ts) == nil {
-		return taskUtilCmpOne(ts)
-	}
-	u := sc.Reg(0)
-	for _, t := range ts {
-		u.AddRat(t.WCET, t.Period)
-	}
-	return u.CmpInt(1)
+	return demand.AddUtil(numeric.Fast{}, srcs).CmpInt(1)
 }
 
 // sourceBound returns the smallest applicable feasibility bound over plain
 // sources (George or superposition; Baruah and hyperperiod need the task
 // structure). Requires U < 1.
 func sourceBound(srcs []demand.Source, sc *demand.Scratch) (int64, bounds.Kind, bool) {
-	bg, okG, bs, okS := bounds.LinearBoundsScratch(srcs, sc)
+	bg, okG, bs, okS := bounds.LinearBounds(srcs, sc)
 	switch {
 	case okG && okS:
 		if bs <= bg {
@@ -76,7 +44,7 @@ func sourceBound(srcs []demand.Source, sc *demand.Scratch) (int64, bounds.Kind, 
 func taskBound(ts model.TaskSet, srcs []demand.Source, opt Options) (int64, bounds.Kind, bool) {
 	switch opt.Bound {
 	case "", bounds.KindNone:
-		return bounds.BestSourcesScratch(ts, srcs, opt.Scratch)
+		return bounds.BestSources(ts, srcs, opt.Scratch)
 	case bounds.KindBaruah:
 		b, ok := bounds.Baruah(ts)
 		return b, bounds.KindBaruah, ok
@@ -106,10 +74,10 @@ func taskBound(ts model.TaskSet, srcs []demand.Source, opt Options) (int64, boun
 func ProcessorDemand(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOneScratch(ts, opt.Scratch) > 0 {
+	srcs := opt.Scratch.Sources(ts)
+	if utilCmpOne(srcs, opt.Scratch) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	srcs := opt.Scratch.Sources(ts)
 	bound, kind, ok := taskBound(ts, srcs, opt)
 	if !ok {
 		return Result{Verdict: Undecided}
@@ -129,7 +97,7 @@ func ProcessorDemand(ts model.TaskSet, opt Options) Result {
 func ProcessorDemandSources(srcs []demand.Source, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch utilCmpOneScratch(srcs, opt.Scratch) {
+	switch utilCmpOne(srcs, opt.Scratch) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1}
 	case 0:

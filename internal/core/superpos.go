@@ -25,19 +25,19 @@ func SuperPosSources(srcs []demand.Source, level int64, opt Options) Result {
 	if level < 1 {
 		level = 1
 	}
-	if utilCmpOneScratch(srcs, opt.Scratch) > 0 {
+	if utilCmpOne(srcs, opt.Scratch) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: level}
 	}
 	switch opt.Arithmetic {
 	case ArithFloat64:
-		return superPos(numeric.F64(0), srcs, level, opt)
+		return superPos(numeric.F64(0), numeric.F64(0), srcs, level, opt)
 	case ArithBigRat:
-		return superPos(numeric.Rat{}, srcs, level, opt)
+		return superPos(numeric.Rat{}, numeric.Rat{}, srcs, level, opt)
 	default:
 		if opt.Scratch.Arith(srcs) != nil {
-			return superPosChunked(srcs, level, opt)
+			return superPos(opt.Scratch.Reg(0), opt.Scratch.Reg(1), srcs, level, opt)
 		}
-		return superPos(numeric.Fast{}, srcs, level, opt)
+		return superPos(numeric.Fast{}, numeric.Fast{}, srcs, level, opt)
 	}
 }
 
@@ -52,13 +52,17 @@ func SuperPosSources(srcs []demand.Source, level int64, opt Options) Result {
 // remaining contribution grows with slope U <= 1 while the capacity grows
 // with slope 1, so the approximated test holds for all larger intervals
 // (the implicit superposition bound).
-func superPos[S numeric.Scalar[S]](zero S, srcs []demand.Source, level int64, opt Options) Result {
+//
+// dbf and uready are the two accumulators, both zero: plain values, or
+// the scratch's chunk registers when its plan covers the sources, which
+// keeps spread-period sets whose slopes overflow numeric.Fast exact,
+// allocation-free and off math/big.
+func superPos[S numeric.Scalar[S]](dbf, uready S, srcs []demand.Source, level int64, opt Options) Result {
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs)) // processed jobs per source
 	for i, s := range srcs {
 		tl.Add(s.JobDeadline(1), i)
 	}
-	dbf, uready := zero, zero
 	var iold, iterations int64
 	for !tl.Empty() {
 		e := tl.Peek()
@@ -85,49 +89,6 @@ func superPos[S numeric.Scalar[S]](zero S, srcs []demand.Source, level int64, op
 			tl.Next()
 			num, den := s.UtilRat()
 			uready = uready.AddRat(num, den)
-		} else {
-			tl.Replace(s.NextDeadline(I), e.Src)
-		}
-		iold = I
-	}
-	return Result{Verdict: Feasible, Iterations: iterations, MaxLevel: level}
-}
-
-// superPosChunked is superPos on the scratch's bounded-denominator
-// registers: the demand accumulator and the ready-slope sum are Chunked
-// registers mutated in place, so spread-period sets whose slopes
-// overflow the Fast representation stay exact, allocation-free and off
-// math/big. The caller guarantees the scratch plan covers the sources.
-func superPosChunked(srcs []demand.Source, level int64, opt Options) Result {
-	tl := opt.Scratch.TestList(len(srcs))
-	jobs := opt.Scratch.Jobs(len(srcs)) // processed jobs per source
-	for i, s := range srcs {
-		tl.Add(s.JobDeadline(1), i)
-	}
-	dbf, uready := opt.Scratch.Reg(0), opt.Scratch.Reg(1)
-	var iold, iterations int64
-	for !tl.Empty() {
-		e := tl.Peek()
-		I := e.I
-		iterations++
-		if opt.capped(iterations) {
-			return Result{Verdict: Undecided, Iterations: iterations, MaxLevel: level}
-		}
-		s := srcs[e.Src]
-		jobs[e.Src]++
-		dbf.AddInt(s.WCET())
-		dbf.AddScaled(uready, I-iold)
-		if capacity := opt.capacityAt(I); dbf.CmpInt(capacity) > 0 {
-			verdict := NotAccepted
-			if demand.Dbf(srcs, I) > capacity {
-				verdict = Infeasible
-			}
-			return Result{Verdict: verdict, Iterations: iterations, FailureInterval: I, MaxLevel: level}
-		}
-		if jobs[e.Src] >= level {
-			tl.Next()
-			num, den := s.UtilRat()
-			uready.AddRat(num, den)
 		} else {
 			tl.Replace(s.NextDeadline(I), e.Src)
 		}

@@ -59,15 +59,14 @@ func Utilization(srcs []Source) *big.Rat {
 // UtilizationFast returns Σ UtilRat over the sources as an exact
 // numeric.Fast, allocation-free while the sum stays within int64.
 func UtilizationFast(srcs []Source) numeric.Fast {
-	var u numeric.Fast
+	return AddUtil(numeric.Fast{}, srcs)
+}
+
+// AddUtil returns u + Σ UtilRat over the sources: the utilization sum of
+// every exact test and bound, in whichever arithmetic u carries.
+func AddUtil[S numeric.Scalar[S]](u S, srcs []Source) S {
 	for _, s := range srcs {
 		u = u.AddRat(s.UtilRat())
 	}
 	return u
-}
-
-// UtilCmpOne compares the total utilization of the sources with 1 exactly
-// without allocating on the int64 fast path.
-func UtilCmpOne(srcs []Source) int {
-	return UtilizationFast(srcs).CmpInt(1)
 }

@@ -48,8 +48,8 @@ type Scratch struct {
 
 // ScratchRegs is the size of the chunk-register bank. The widest
 // consumer is the combined bound computation (utilization, two linear
-// sums, a term, a numerator, a denominator and a quotient scratch).
-const ScratchRegs = 8
+// sums, a term and 1-U).
+const ScratchRegs = 5
 
 // NewScratch returns an empty Scratch.
 func NewScratch() *Scratch { return &Scratch{} }
@@ -122,23 +122,6 @@ func (s *Scratch) Arith(srcs []Source) *numeric.Plan {
 		_, den := src.UtilRat()
 		s.denBuf = append(s.denBuf, den)
 	}
-	return s.arith()
-}
-
-// ArithTasks is Arith keyed directly on the task periods, for analyzers
-// that never adapt the set to sources (Devi). The key equals the one
-// Arith derives from Sources(ts), so a cascade builds one plan and every
-// stage hits the cache.
-func (s *Scratch) ArithTasks(ts model.TaskSet) *numeric.Plan {
-	s.denBuf = s.denBuf[:0]
-	for _, t := range ts {
-		s.denBuf = append(s.denBuf, t.Period)
-	}
-	return s.arith()
-}
-
-// arith resolves the plan for the key staged in denBuf.
-func (s *Scratch) arith() *numeric.Plan {
 	if !s.hasPlan || !slices.Equal(s.denBuf, s.planKey) {
 		// Fold the retiring plan's tally so ArithPromotions stays
 		// monotonic across rebuilds.
@@ -166,7 +149,7 @@ func (s *Scratch) ArithPromotions() uint64 {
 // Reg returns register i of the chunk-register bank, zeroed and bound to
 // the current plan. Registers are shared working memory: a computation
 // owns the indices it uses until it returns. Callers must hold a plan
-// from Arith/ArithTasks (the registers bind to it).
+// from Arith (the registers bind to it).
 func (s *Scratch) Reg(i int) *numeric.Chunked {
 	s.regs[i].Init(&s.plan)
 	return &s.regs[i]

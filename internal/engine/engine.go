@@ -101,9 +101,7 @@ const DefaultSuperPosLevel = 3
 func NewLiuLayland() Analyzer {
 	return funcAnalyzer{
 		info: Info{Name: "liu", Label: "liu-layland", Kind: Sufficient},
-		fn: func(ts model.TaskSet, _ core.Options) core.Result {
-			return core.LiuLayland(ts)
-		},
+		fn:   core.LiuLayland,
 	}
 }
 

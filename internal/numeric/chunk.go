@@ -96,9 +96,11 @@ func (p *Plan) chunkFor(den int64) int {
 // part plus one fractional numerator per plan chunk, each kept in
 // [0, chunk denominator). All operations are exact; when an intermediate
 // genuinely exceeds the representation the value promotes to a big.Rat
-// (tallied on the plan) and stays exact. Operations mutate the receiver —
-// unlike Scalar implementations a Chunked is a register, not a value —
-// which is what lets the hot loops run without copying the chunk array.
+// (tallied on the plan) and stays exact. A Chunked is a register, not a
+// value: like math/big, every arithmetic method updates the receiver and
+// returns it, which is what lets the hot loops run without copying the
+// chunk array — and what makes *Chunked an Exact scalar, so the analyzers
+// run the same generic bodies on it as on Fast.
 //
 // The analyzers obtain their registers from the Scratch register bank
 // (demand.Scratch.Arith), so steady-state analyses allocate nothing.
@@ -109,6 +111,8 @@ type Chunked struct {
 	br *big.Rat
 	fr [MaxChunks]int64
 }
+
+var _ Exact[*Chunked] = (*Chunked)(nil)
 
 // Init binds the register to a plan and zeroes it.
 func (v *Chunked) Init(p *Plan) {
@@ -130,17 +134,19 @@ func (v *Chunked) SetZero() {
 }
 
 // SetInt sets the value to the integer x.
-func (v *Chunked) SetInt(x int64) {
+func (v *Chunked) SetInt(x int64) *Chunked {
 	v.SetZero()
 	v.ip = x
+	return v
 }
 
-// CopyFrom makes v an independent copy of o (same plan).
-func (v *Chunked) CopyFrom(o *Chunked) {
+// Set makes v an independent copy of o (same plan).
+func (v *Chunked) Set(o *Chunked) *Chunked {
 	*v = *o
 	if o.br != nil {
 		v.br = new(big.Rat).Set(o.br)
 	}
+	return v
 }
 
 // Promoted reports whether the value fell back to math/big.
@@ -182,33 +188,33 @@ func (v *Chunked) Rat() *big.Rat {
 }
 
 // AddInt adds the integer x.
-func (v *Chunked) AddInt(x int64) {
+func (v *Chunked) AddInt(x int64) *Chunked {
 	if v.br != nil {
 		v.br.Add(v.br, new(big.Rat).SetInt64(x))
-		return
+		return v
 	}
 	s, ok := addInt64(v.ip, x)
 	if !ok {
 		v.promote().Add(v.br, new(big.Rat).SetInt64(x))
-		return
+		return v
 	}
 	v.ip = s
+	return v
 }
 
 // AddRat adds num/den (den > 0).
-func (v *Chunked) AddRat(num, den int64) {
+func (v *Chunked) AddRat(num, den int64) *Chunked {
 	if den == 1 {
-		v.AddInt(num)
-		return
+		return v.AddInt(num)
 	}
 	if v.br != nil {
 		v.br.Add(v.br, big.NewRat(num, den))
-		return
+		return v
 	}
 	c := v.plan.chunkFor(den)
 	if c < 0 {
 		v.promote().Add(v.br, big.NewRat(num, den))
-		return
+		return v
 	}
 	q, r := num/den, num%den
 	if r < 0 {
@@ -225,27 +231,28 @@ func (v *Chunked) AddRat(num, den int64) {
 	nip, ok := addInt64(v.ip, q)
 	if !ok {
 		v.promote().Add(v.br, big.NewRat(num, den))
-		return
+		return v
 	}
 	v.ip = nip
 	v.fr[c] = nf
+	return v
 }
 
 // SubRat subtracts num/den (den > 0).
-func (v *Chunked) SubRat(num, den int64) {
+func (v *Chunked) SubRat(num, den int64) *Chunked {
 	if num == math.MinInt64 {
 		v.promote().Sub(v.br, big.NewRat(num, den))
-		return
+		return v
 	}
-	v.AddRat(-num, den)
+	return v.AddRat(-num, den)
 }
 
 // Add adds another register bound to the same plan.
-func (v *Chunked) Add(o *Chunked) {
+func (v *Chunked) Add(o *Chunked) *Chunked {
 	if v.br != nil || o.br != nil {
 		r := v.promote()
 		r.Add(r, o.ratView())
-		return
+		return v
 	}
 	// First pass read-only so a promotion sees an unmodified register.
 	var carry int64
@@ -261,7 +268,7 @@ func (v *Chunked) Add(o *Chunked) {
 	if !ok {
 		r := v.promote()
 		r.Add(r, o.ratView())
-		return
+		return v
 	}
 	for c := 0; c < v.plan.n; c++ {
 		nf := v.fr[c] + o.fr[c]
@@ -271,14 +278,15 @@ func (v *Chunked) Add(o *Chunked) {
 		v.fr[c] = nf
 	}
 	v.ip = nip
+	return v
 }
 
 // Sub subtracts another register bound to the same plan.
-func (v *Chunked) Sub(o *Chunked) {
+func (v *Chunked) Sub(o *Chunked) *Chunked {
 	if v.br != nil || o.br != nil {
 		r := v.promote()
 		r.Sub(r, o.ratView())
-		return
+		return v
 	}
 	var borrow int64
 	for c := 0; c < v.plan.n; c++ {
@@ -293,7 +301,7 @@ func (v *Chunked) Sub(o *Chunked) {
 	if !ok {
 		r := v.promote()
 		r.Sub(r, o.ratView())
-		return
+		return v
 	}
 	for c := 0; c < v.plan.n; c++ {
 		nf := v.fr[c] - o.fr[c]
@@ -303,6 +311,7 @@ func (v *Chunked) Sub(o *Chunked) {
 		v.fr[c] = nf
 	}
 	v.ip = nip
+	return v
 }
 
 // AddScaled adds u*dt for dt >= 0, the slope-advance step of the
@@ -310,20 +319,20 @@ func (v *Chunked) Sub(o *Chunked) {
 // formed as a 128-bit value and reduced by one bits.Div64 — exact, and
 // safe because fr < Q and dt < 2^64 keep the dividend's high word below
 // the divisor.
-func (v *Chunked) AddScaled(u *Chunked, dt int64) {
+func (v *Chunked) AddScaled(u *Chunked, dt int64) *Chunked {
 	if dt == 0 {
-		return
+		return v
 	}
 	if v.br != nil || u.br != nil || dt < 0 {
 		r := v.promote()
 		prod := new(big.Rat).Mul(u.ratView(), new(big.Rat).SetInt64(dt))
 		r.Add(r, prod)
-		return
+		return v
 	}
 	ipAdd, ok := mulInt64(u.ip, dt)
 	if !ok {
 		v.addScaledBig(u, dt)
-		return
+		return v
 	}
 	var tmp [MaxChunks]int64
 	var carry int64
@@ -344,7 +353,7 @@ func (v *Chunked) AddScaled(u *Chunked, dt int64) {
 		carry, ok = addInt64(carry, int64(q))
 		if !ok {
 			v.addScaledBig(u, dt)
-			return
+			return v
 		}
 	}
 	nip, ok := addInt64(v.ip, ipAdd)
@@ -353,10 +362,11 @@ func (v *Chunked) AddScaled(u *Chunked, dt int64) {
 	}
 	if !ok {
 		v.addScaledBig(u, dt)
-		return
+		return v
 	}
 	v.ip = nip
 	copy(v.fr[:v.plan.n], tmp[:v.plan.n])
+	return v
 }
 
 // addScaledBig is the promoted slow path of AddScaled.
@@ -367,28 +377,28 @@ func (v *Chunked) addScaledBig(u *Chunked, dt int64) {
 }
 
 // MulInt multiplies by the integer x.
-func (v *Chunked) MulInt(x int64) {
+func (v *Chunked) MulInt(x int64) *Chunked {
 	if v.br != nil {
 		v.br.Mul(v.br, new(big.Rat).SetInt64(x))
-		return
+		return v
 	}
 	if x == 0 {
 		v.SetZero()
-		return
+		return v
 	}
 	neg := x < 0
 	if neg {
 		if x == math.MinInt64 {
 			r := v.promote()
 			r.Mul(r, new(big.Rat).SetInt64(x))
-			return
+			return v
 		}
 		x = -x
 	}
 	ipMul, ok := mulInt64(v.ip, x)
 	if !ok {
 		v.mulIntBig(x, neg)
-		return
+		return v
 	}
 	var tmp [MaxChunks]int64
 	var carry int64
@@ -404,19 +414,20 @@ func (v *Chunked) MulInt(x int64) {
 		carry, ok = addInt64(carry, int64(q))
 		if !ok {
 			v.mulIntBig(x, neg)
-			return
+			return v
 		}
 	}
 	nip, ok := addInt64(ipMul, carry)
 	if !ok {
 		v.mulIntBig(x, neg)
-		return
+		return v
 	}
 	v.ip = nip
 	copy(v.fr[:v.plan.n], tmp[:v.plan.n])
 	if neg {
 		v.Neg()
 	}
+	return v
 }
 
 // mulIntBig is the promoted slow path of MulInt; x is the magnitude.
@@ -431,10 +442,10 @@ func (v *Chunked) mulIntBig(x int64, neg bool) {
 
 // Neg negates the value in place: -(ip + f) = (-ip - m) + Σ (Q_c -
 // fr[c])/Q_c over the m chunks with a nonzero numerator.
-func (v *Chunked) Neg() {
+func (v *Chunked) Neg() *Chunked {
 	if v.br != nil {
 		v.br.Neg(v.br)
-		return
+		return v
 	}
 	var m int64
 	for c := 0; c < v.plan.n; c++ {
@@ -449,7 +460,7 @@ func (v *Chunked) Neg() {
 	if !ok {
 		r := v.promote()
 		r.Neg(r)
-		return
+		return v
 	}
 	for c := 0; c < v.plan.n; c++ {
 		if v.fr[c] != 0 {
@@ -457,6 +468,7 @@ func (v *Chunked) Neg() {
 		}
 	}
 	v.ip = nip
+	return v
 }
 
 // ratView renders the value as a big.Rat without forcing a promotion of
@@ -644,28 +656,24 @@ func (v *Chunked) Float() float64 {
 	return f
 }
 
-// QuoCeilChunked returns ceil(a/b) for a >= 0 and b > 0 and whether the
-// result fits in int64, using t as a scratch register (clobbered). The
-// quotient is located by a float64 guess and certified by exact
-// comparisons, so the result is exact and — promoted inputs aside —
-// allocation-free.
-func QuoCeilChunked(a, b, t *Chunked) (int64, bool) {
-	if a.br != nil || b.br != nil {
-		return quoCeilBig(a.ratView(), b.ratView())
+// QuoCeil returns ceil(v/b) for v >= 0 and b > 0 and whether the result
+// fits in int64. The quotient is located by a float64 guess and certified
+// by exact comparisons in a stack register, so the result is exact and —
+// promoted inputs aside — allocation-free.
+func (v *Chunked) QuoCeil(b *Chunked) (int64, bool) {
+	if v.br != nil || b.br != nil {
+		return quoCeilBig(v.ratView(), b.ratView())
 	}
-	if a.Sign() == 0 {
+	if v.Sign() == 0 {
 		return 0, true
 	}
-	// geB reports whether b*q >= a.
-	geB := func(q int64) bool {
-		t.CopyFrom(b)
-		t.MulInt(q)
-		return t.Cmp(a) >= 0
-	}
-	g := a.Float() / b.Float()
+	// geB reports whether b*q >= v.
+	var t Chunked
+	geB := func(q int64) bool { return t.Set(b).MulInt(q).Cmp(v) >= 0 }
+	g := v.Float() / b.Float()
 	if !(g < float64(int64(1)<<62)) {
 		// The quotient flirts with the int64 range; settle it in big.
-		return quoCeilBig(a.Rat(), b.Rat())
+		return quoCeilBig(v.Rat(), b.Rat())
 	}
 	lo := int64(g) - 2
 	if lo < 0 {
@@ -673,17 +681,17 @@ func QuoCeilChunked(a, b, t *Chunked) (int64, bool) {
 	}
 	hi := int64(g) + 2
 	if geB(lo) {
-		// The guess overshot: restart the bracket from zero (b*0 = 0 < a).
+		// The guess overshot: restart the bracket from zero (b*0 = 0 < v).
 		hi, lo = lo, 0
 	}
 	for !geB(hi) {
 		lo = hi
 		if hi > (int64(1) << 61) {
-			return quoCeilBig(a.Rat(), b.Rat())
+			return quoCeilBig(v.Rat(), b.Rat())
 		}
 		hi *= 2
 	}
-	// Invariant: b*lo < a <= b*hi.
+	// Invariant: b*lo < v <= b*hi.
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		if geB(mid) {

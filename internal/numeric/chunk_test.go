@@ -259,10 +259,9 @@ func TestQuoCeilChunked(t *testing.T) {
 	p := buildPlan(t, []int64{1000, 999999937})
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 500; trial++ {
-		var a, b, tmp Chunked
+		var a, b Chunked
 		a.Init(p)
 		b.Init(p)
-		tmp.Init(p)
 		ar := new(big.Rat)
 		br := new(big.Rat)
 		a.AddInt(rng.Int63n(1 << 40))
@@ -276,19 +275,18 @@ func TestQuoCeilChunked(t *testing.T) {
 		b.SubRat(k, 999999937)
 		br.SetInt64(1)
 		br.Sub(br, big.NewRat(k, 999999937))
-		got, ok := QuoCeilChunked(&a, &b, &tmp)
+		got, ok := a.QuoCeil(&b)
 		want, wok := quoCeilBig(ar, br)
 		if ok != wok || got != want {
 			t.Fatalf("QuoCeil(%s / %s) = (%d,%v), want (%d,%v)", ar, br, got, ok, want, wok)
 		}
 	}
 	// Zero numerator.
-	var a, b, tmp Chunked
+	var a, b Chunked
 	a.Init(p)
 	b.Init(p)
-	tmp.Init(p)
 	b.AddRat(1, 1000)
-	if got, ok := QuoCeilChunked(&a, &b, &tmp); !ok || got != 0 {
+	if got, ok := a.QuoCeil(&b); !ok || got != 0 {
 		t.Fatalf("QuoCeil(0/x) = (%d,%v), want (0,true)", got, ok)
 	}
 }
@@ -300,11 +298,11 @@ func TestChunkedCopyFromIsolation(t *testing.T) {
 	w.Init(p)
 	v.SetInt(MaxInt64 - 1)
 	v.AddInt(10) // promote
-	w.CopyFrom(&v)
+	w.Set(&v)
 	w.AddInt(5)
 	diff := new(big.Rat).Sub(w.Rat(), v.Rat())
 	if diff.Cmp(new(big.Rat).SetInt64(5)) != 0 {
-		t.Fatalf("CopyFrom shares promoted storage: diff = %s", diff)
+		t.Fatalf("Set shares promoted storage: diff = %s", diff)
 	}
 }
 

@@ -15,6 +15,20 @@
 //     intermediate products, falling back to a big.Rat payload only while
 //     a value cannot be represented in int64 and demoting back as soon as
 //     it fits. Allocation-free while parameters stay in range.
+//   - *Chunked: the bounded-denominator registers described below.
+//
+// Exact extends Scalar with the copy, scaling, subtraction, sign and
+// ceiling quotient that Devi's test and the feasibility bounds need; Fast
+// and *Chunked implement it. Each exact routine is written once against
+// these constraints and instantiated per arithmetic.
+//
+// An implementation may update its receiver in place and return it
+// (*Chunked does, like math/big) or return a fresh value (F64, Rat and
+// Fast do). Generic code therefore assigns every result back —
+// x = x.AddInt(c) — and never reads an operand's old value after an
+// operation: a result that must not clobber an operand still needed gets
+// an accumulator of its own, passed in by the caller (zero values for the
+// value types, distinct Scratch registers for *Chunked).
 //
 // # Bounded-denominator chunked values
 //

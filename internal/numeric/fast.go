@@ -24,7 +24,7 @@ type Fast struct {
 	br *big.Rat
 }
 
-var _ Scalar[Fast] = Fast{}
+var _ Exact[Fast] = Fast{}
 
 // NewFast returns the rational num/den. den must be non-zero; a negative
 // den is normalized away.
@@ -207,6 +207,12 @@ func (s Fast) addFrac(n, d int64) Fast {
 	r := new(big.Rat).Add(big.NewRat(a, b), big.NewRat(n, d))
 	return demoted(r)
 }
+
+// SetInt returns v.
+func (s Fast) SetInt(v int64) Fast { return Fast{num: v, den: 1} }
+
+// Set returns o: Fast values are immutable, so a copy is the value itself.
+func (s Fast) Set(o Fast) Fast { return o }
 
 // Add returns s + o.
 func (s Fast) Add(o Fast) Fast {

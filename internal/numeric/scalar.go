@@ -6,14 +6,22 @@ import (
 )
 
 // Scalar is the accumulator abstraction shared by the approximated
-// feasibility tests (SuperPos, DynamicError, AllApprox). A Scalar value is
-// immutable; every operation returns a new value. The zero value of an
-// implementation must represent the number zero.
+// feasibility tests (SuperPos, DynamicError, AllApprox). The zero value of
+// a value implementation must represent the number zero.
+//
+// An implementation may update its receiver in place and return it (the
+// chunk registers do, as math/big does) or return a fresh value (F64, Rat
+// and Fast do). Callers therefore assign every result back to the variable
+// it came from and never use an operand's old value after an operation:
+// a result that must not clobber an operand still needed goes to its own
+// variable.
 //
 // The type parameter ties the interface to its implementation so the
 // algorithms can be instantiated once per arithmetic mode without interface
 // boxing on the hot path.
 type Scalar[S any] interface {
+	// SetInt returns the integer v.
+	SetInt(v int64) S
 	// Add returns s + o.
 	Add(o S) S
 	// AddInt returns s + v.
@@ -33,6 +41,25 @@ type Scalar[S any] interface {
 	Float() float64
 }
 
+// Exact is the Scalar of the closed-form exact routines — Devi's prefix
+// condition and the feasibility bounds — which also copy, scale, subtract
+// and divide. Fast and the chunk registers implement it; the same
+// in-place contract as Scalar applies.
+type Exact[S any] interface {
+	Scalar[S]
+	// Set returns a copy of o.
+	Set(o S) S
+	// MulInt returns s * v.
+	MulInt(v int64) S
+	// Sub returns s - o.
+	Sub(o S) S
+	// Sign returns -1, 0 or +1.
+	Sign() int
+	// QuoCeil returns ceil(s/o) for s >= 0 and o > 0, and whether the
+	// result fits in int64.
+	QuoCeil(o S) (int64, bool)
+}
+
 // f64Eps is the symmetric comparison tolerance of the float64 mode: values
 // within eps*max(1,|v|) of the comparison point compare as equal. Equality
 // is acceptance in every test (the conditions are "demand <= interval"), so
@@ -44,6 +71,9 @@ const f64Eps = 1e-9
 type F64 float64
 
 var _ Scalar[F64] = F64(0)
+
+// SetInt returns v.
+func (s F64) SetInt(v int64) F64 { return F64(v) }
 
 // Add returns s + o.
 func (s F64) Add(o F64) F64 { return s + o }
@@ -96,6 +126,9 @@ func (s Rat) val() *big.Rat {
 
 // NewRat returns the rational num/den as a Rat.
 func NewRat(num, den int64) Rat { return Rat{big.NewRat(num, den)} }
+
+// SetInt returns v.
+func (s Rat) SetInt(v int64) Rat { return NewRat(v, 1) }
 
 // Add returns s + o.
 func (s Rat) Add(o Rat) Rat { return Rat{new(big.Rat).Add(s.val(), o.val())} }

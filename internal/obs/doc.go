@@ -34,5 +34,8 @@
 // format (# HELP, # TYPE, escaped labels); [ParseExposition] and
 // [ValidateExposition] are the matching small parser, used by the proxy
 // to scrape replica pages and by `make lint-metrics` to gate the format
-// in CI. No external dependencies on either side.
+// in CI. No external dependencies on either side. [LatencyHist] is the
+// one latency histogram: its cumulative log2 buckets sum across replicas,
+// and [HistQuantile] derives p50/p99 from one replica's buckets and from
+// the proxy's summed fleet buckets alike.
 package obs

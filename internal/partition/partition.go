@@ -383,7 +383,7 @@ func (p *placer) run(ctx context.Context, h Heuristic) ([]int, *Attempt, error) 
 			}
 			st := scaledTask(task.Task, bins[j].speed)
 			after := &p.after[j]
-			after.CopyFrom(&bins[j].fill)
+			after.Set(&bins[j].fill)
 			after.AddRat(st.WCET, st.Period)
 			if after.CmpInt(1) > 0 {
 				p.stats.GateRejections++
@@ -427,7 +427,7 @@ func (p *placer) run(ctx context.Context, h Heuristic) ([]int, *Attempt, error) 
 		}
 		c := cands[won]
 		bins[c.proc].scaled = c.tent
-		bins[c.proc].fill.CopyFrom(&p.after[c.proc])
+		bins[c.proc].fill.Set(&p.after[c.proc])
 		asg[ti] = c.proc
 	}
 	return asg, nil, nil

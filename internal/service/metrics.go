@@ -3,83 +3,11 @@ package service
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"strconv"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
-
-// histBuckets is the number of log2 latency buckets: bucket i counts
-// samples <= 2^i nanoseconds, and the last bucket absorbs everything
-// beyond (~4.3 s) so no sample is ever dropped.
-const histBuckets = 33
-
-// latencyHist is a lock-free log2 histogram of nanosecond latencies. The
-// exported form — cumulative "le" bucket counters — is summable across
-// replicas, which is exactly how the proxy aggregates fleet quantiles;
-// p50/p99 are derived at render time and never stored.
-type latencyHist struct {
-	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-// bucketOf maps a latency to its bucket index: the smallest i with
-// ns <= 2^i.
-func bucketOf(ns int64) int {
-	if ns <= 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(ns - 1))
-	if b >= histBuckets {
-		return histBuckets - 1
-	}
-	return b
-}
-
-// observe records n samples of the same latency (n > 1 is the batch
-// path, which spreads one request's wall time evenly over its tasks).
-func (h *latencyHist) observe(ns int64, n int) {
-	if n <= 0 {
-		return
-	}
-	if ns < 0 {
-		ns = 0
-	}
-	h.buckets[bucketOf(ns)].Add(uint64(n))
-	h.count.Add(uint64(n))
-	h.sum.Add(uint64(ns) * uint64(n))
-}
-
-// snapshot copies the bucket counters (non-cumulative).
-func (h *latencyHist) snapshot() (b [histBuckets]uint64, count, sum uint64) {
-	for i := range h.buckets {
-		b[i] = h.buckets[i].Load()
-	}
-	return b, h.count.Load(), h.sum.Load()
-}
-
-// histQuantile returns the upper bound of the bucket holding the q-th
-// sample — the same conservative estimate for one replica and for a
-// summed fleet. Zero samples yield zero.
-func histQuantile(b [histBuckets]uint64, count uint64, q float64) int64 {
-	if count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range b {
-		cum += n
-		if cum >= rank {
-			return int64(1) << i
-		}
-	}
-	return int64(1) << (histBuckets - 1)
-}
 
 // metrics holds the server's own counters. Cache and session numbers are
 // pulled from their owners at render time, so this struct only tracks
@@ -98,7 +26,7 @@ type metrics struct {
 
 	// proposeNS tracks per-proposal decision latency; incremental and
 	// escalated split the proposals by which path decided them.
-	proposeNS   latencyHist
+	proposeNS   obs.LatencyHist
 	incremental atomic.Uint64
 	escalated   atomic.Uint64
 
@@ -211,16 +139,14 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// Buckets are rendered cumulatively ("le" semantics): sums of
 	// cumulative counters across replicas stay cumulative, so the proxy
 	// can add them up and re-derive fleet quantiles.
-	hb, hcount, hsum := s.m.proposeNS.snapshot()
+	hb, hcount, hsum := s.m.proposeNS.Snapshot()
 	ew.Family("edfd_propose_ns", obs.Histogram, "Per-proposal decision latency in nanoseconds, log2 buckets.")
-	var cum uint64
-	for i := range hb {
-		cum += hb[i]
+	for i, cum := range hb {
 		ew.Sample("edfd_propose_ns_bucket", []obs.Label{{Name: "le", Value: strconv.FormatInt(int64(1)<<i, 10)}}, float64(cum))
 	}
 	ew.Sample("edfd_propose_ns_bucket", []obs.Label{{Name: "le", Value: "+Inf"}}, float64(hcount))
 	ew.Sample("edfd_propose_ns_sum", nil, float64(hsum))
 	ew.Sample("edfd_propose_ns_count", nil, float64(hcount))
-	gauge("edfd_propose_ns_p50", "Median proposal latency, derived from the histogram.", float64(histQuantile(hb, hcount, 0.50)))
-	gauge("edfd_propose_ns_p99", "99th-percentile proposal latency, derived from the histogram.", float64(histQuantile(hb, hcount, 0.99)))
+	gauge("edfd_propose_ns_p50", "Median proposal latency, derived from the histogram.", float64(obs.HistQuantile(hb, hcount, 0.50)))
+	gauge("edfd_propose_ns_p99", "99th-percentile proposal latency, derived from the histogram.", float64(obs.HistQuantile(hb, hcount, 0.99)))
 }

@@ -13,44 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-func TestBucketOf(t *testing.T) {
-	cases := []struct {
-		ns   int64
-		want int
-	}{
-		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3},
-		{1024, 10}, {1025, 11}, {1 << 32, 32}, {1 << 40, 32},
-	}
-	for _, c := range cases {
-		if got := bucketOf(c.ns); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.ns, got, c.want)
-		}
-	}
-}
-
-func TestHistQuantile(t *testing.T) {
-	var h latencyHist
-	// 90 fast samples (<= 1024 ns), 10 slow ones (~1 ms).
-	h.observe(900, 90)
-	h.observe(1_000_000, 10)
-	b, count, sum := h.snapshot()
-	if count != 100 {
-		t.Fatalf("count = %d", count)
-	}
-	if want := uint64(90*900 + 10*1_000_000); sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-	if p50 := histQuantile(b, count, 0.50); p50 != 1024 {
-		t.Errorf("p50 = %d, want 1024", p50)
-	}
-	if p99 := histQuantile(b, count, 0.99); p99 != 1<<20 {
-		t.Errorf("p99 = %d, want %d", p99, 1<<20)
-	}
-	if z := histQuantile([histBuckets]uint64{}, 0, 0.99); z != 0 {
-		t.Errorf("empty quantile = %d, want 0", z)
-	}
-}
-
 // TestProposeLatencyMetrics drives proposals through the HTTP surface and
 // asserts the histogram, quantiles and path-split counters land on
 // /metrics.

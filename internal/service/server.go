@@ -728,7 +728,7 @@ func (s *Server) handleSessionPropose(w http.ResponseWriter, r *http.Request) {
 		out.Stages.SpansInto(tr, time.Now())
 		tr.EndSpan("propose", start, out.Path+" "+out.Result.Verdict.String())
 	}
-	s.m.proposeNS.observe(latency.Nanoseconds(), 1)
+	s.m.proposeNS.Observe(latency.Nanoseconds(), 1)
 	s.m.proposals.Add(1)
 	s.countProposePath(out)
 	s.publishDecision(r.Context(), id, out, latency)
@@ -759,7 +759,7 @@ func (s *Server) handleSessionProposeBatch(w http.ResponseWriter, r *http.Reques
 	if tr != nil {
 		tr.Session = id
 	}
-	s.m.proposeNS.observe(perTask.Nanoseconds(), len(outs))
+	s.m.proposeNS.Observe(perTask.Nanoseconds(), len(outs))
 	s.m.proposals.Add(uint64(len(outs)))
 	s.m.proposeBatches.Add(1)
 	resp := ProposeBatchResponse{Results: make([]ProposeResponse, len(outs))}

@@ -129,7 +129,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	_, c := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
-	_, rt, err := c.AnalyzeRouted(ctx, service.AnalyzeRequest{
+	_, rt, err := c.Analyze(ctx, service.AnalyzeRequest{
 		Name:     "traced",
 		Workload: edf.SporadicWorkload(edf.TaskSet{{Name: "a", WCET: 2, Deadline: 8, Period: 10}}),
 	})
