@@ -144,13 +144,13 @@ func driveTraffic(ctx context.Context, c *client.Client) error {
 		return fmt.Errorf("open session: %w", err)
 	}
 	task := service.SporadicTask(edf.Task{Name: "a", WCET: 1, Deadline: 50, Period: 100})
-	if _, err := h.Propose(ctx, service.ProposeRequest{Task: task}); err != nil {
+	if _, _, err := h.Propose(ctx, service.ProposeRequest{Task: task}); err != nil {
 		return fmt.Errorf("propose: %w", err)
 	}
 	if _, err := h.Commit(ctx); err != nil {
 		return fmt.Errorf("commit: %w", err)
 	}
-	if _, err := h.Propose(ctx, service.ProposeRequest{Task: task}); err != nil {
+	if _, _, err := h.Propose(ctx, service.ProposeRequest{Task: task}); err != nil {
 		return fmt.Errorf("re-propose: %w", err)
 	}
 	if _, err := h.Rollback(ctx); err != nil {

@@ -533,7 +533,7 @@ func driveSpread(ctx context.Context, c *client.Client) error {
 		{Name: "spread-lo", WCET: 1, Deadline: 900, Period: 1_000},
 		{Name: "spread-hi", WCET: 1000, Deadline: 9_000_000, Period: 10_000_000},
 	} {
-		pr, err := h.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(task)})
+		pr, _, err := h.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(task)})
 		if err != nil {
 			return fmt.Errorf("spread: propose %s: %w", task.Name, err)
 		}
@@ -582,7 +582,7 @@ func driveChurn(ctx context.Context, c *client.Client) error {
 		for i, op := range sc.Ops {
 			switch op.Op {
 			case edf.ChurnPropose:
-				pr, err := h.Propose(ctx, service.ProposeRequest{Task: *op.Task})
+				pr, _, err := h.Propose(ctx, service.ProposeRequest{Task: *op.Task})
 				if err != nil {
 					return fmt.Errorf("churn %s: op %d: %w", name, i, err)
 				}
@@ -784,7 +784,7 @@ func driveFeed(ctx context.Context, c *client.Client, cluster bool) error {
 	// propose, a rollback, then close — seven events for this session.
 	proposes := 0
 	for i := range 3 {
-		if _, err := h.Propose(ctx, service.ProposeRequest{
+		if _, _, err := h.Propose(ctx, service.ProposeRequest{
 			Task: service.SporadicTask(edf.Task{WCET: 1, Deadline: 50 + int64(i), Period: 100}),
 		}); err != nil {
 			return fail(fmt.Errorf("feed: propose %d: %w", i, err))
@@ -794,7 +794,7 @@ func driveFeed(ctx context.Context, c *client.Client, cluster bool) error {
 	if _, err := h.Commit(ctx); err != nil {
 		return fail(fmt.Errorf("feed: commit: %w", err))
 	}
-	if _, err := h.Propose(ctx, service.ProposeRequest{
+	if _, _, err := h.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{WCET: 1, Deadline: 80, Period: 160}),
 	}); err != nil {
 		return fail(fmt.Errorf("feed: extra propose: %w", err))
@@ -923,7 +923,7 @@ func driveRecovery(ctx context.Context, daemons *fleet, edfdPath, storeDir strin
 		{Name: "a", WCET: 20, Deadline: 150, Period: 200},
 		{Name: "b", WCET: 5, Deadline: 40, Period: 50},
 	} {
-		if pr, err := h.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(tk)}); err != nil || !pr.Admitted {
+		if pr, _, err := h.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(tk)}); err != nil || !pr.Admitted {
 			return fmt.Errorf("recovery: propose %s: %+v, %v", tk.Name, pr, err)
 		}
 	}
@@ -931,7 +931,7 @@ func driveRecovery(ctx context.Context, daemons *fleet, edfdPath, storeDir strin
 		return fmt.Errorf("recovery: commit: %w", err)
 	}
 	// A pending proposal the crash must discard.
-	if pr, err := h.Propose(ctx, service.ProposeRequest{
+	if pr, _, err := h.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "pend", WCET: 1, Deadline: 100, Period: 100}),
 	}); err != nil || !pr.Admitted {
 		return fmt.Errorf("recovery: pending propose: %+v, %v", pr, err)
@@ -958,7 +958,7 @@ func driveRecovery(ctx context.Context, daemons *fleet, edfdPath, storeDir strin
 	if st.Committed != 3 || st.Pending != 0 {
 		return fmt.Errorf("recovery: resumed state committed=%d pending=%d, want 3/0", st.Committed, st.Pending)
 	}
-	if pr, err := c2.Session(h.ID).Propose(ctx, service.ProposeRequest{
+	if pr, _, err := c2.Session(h.ID).Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "post", WCET: 1, Deadline: 200, Period: 200}),
 	}); err != nil || !pr.Admitted {
 		return fmt.Errorf("recovery: post-restart propose: %+v, %v", pr, err)
@@ -981,7 +981,7 @@ func driveTakeover(ctx context.Context, daemons *fleet, c *client.Client) error 
 		if err != nil {
 			return fmt.Errorf("takeover: open %d: %w", i, err)
 		}
-		if pr, err := h.Propose(ctx, service.ProposeRequest{
+		if pr, _, err := h.Propose(ctx, service.ProposeRequest{
 			Task: service.SporadicTask(edf.Task{Name: "w", WCET: 2, Deadline: 300, Period: 300}),
 		}); err != nil || !pr.Admitted {
 			return fmt.Errorf("takeover: session %d propose: %+v, %v", i, pr, err)
@@ -1006,7 +1006,7 @@ func driveTakeover(ctx context.Context, daemons *fleet, c *client.Client) error 
 
 	tookOver := 0
 	for i, h := range handles {
-		pr, prt, err := h.ProposeRouted(ctx, service.ProposeRequest{
+		pr, prt, err := h.Propose(ctx, service.ProposeRequest{
 			Task: service.SporadicTask(edf.Task{Name: "x", WCET: 1, Deadline: 250, Period: 250}),
 		})
 		if err != nil {

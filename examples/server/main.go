@@ -102,7 +102,7 @@ func main() {
 	admitted, rejected := 0, 0
 	for i := range 10 {
 		T := int64(500 * (1 + rng.Intn(20)))
-		resp, err := sess.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(edf.Task{
+		resp, _, err := sess.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(edf.Task{
 			Name: fmt.Sprintf("job-%02d", i), WCET: max(T/12, 1), Deadline: T, Period: T,
 		})})
 		check(err)
@@ -136,7 +136,7 @@ func main() {
 		admitted, rejected, commit.Committed, commit.Utilization)
 
 	// Rollback demo: stage a task, discard it, state reverts.
-	_, err = sess.Propose(ctx, service.ProposeRequest{
+	_, _, err = sess.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "tentative", WCET: 1, Deadline: 1000, Period: 1000}),
 	})
 	check(err)

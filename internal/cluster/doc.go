@@ -8,6 +8,17 @@
 // idempotent requests over to the next ring node, and serves an aggregate
 // /metrics page merging replica counters with its own routing counters.
 //
+// Every replica call takes one upstream path. A single attempt helper
+// posts, ejects the replica on a transport failure (passive ejection)
+// and records the trace span; a single failover loop walks the ring for
+// forwards and batch sub-batches alike; a single /healthz probe, where
+// only a 200 counts as alive, serves both the background sweep and the
+// confirmation that a failed session owner is really dead, and
+// re-admits a replica that answers; and a single fan-out reads /metrics
+// and trace fragments from every healthy replica. The fleet feed relays
+// stay outside that path on purpose: a relay that cannot dial a replica
+// retries with backoff but never ejects it.
+//
 // Because edfd's result cache is keyed by the same fingerprints
 // (engine.WorkloadFingerprint), ring routing gives cache affinity for
 // free: identical workloads always land on the replica that already holds

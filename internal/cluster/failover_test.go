@@ -130,7 +130,7 @@ func TestSessionOwnerDown503(t *testing.T) {
 	}
 	tc.replicaByURL(t, ownerURL).Kill()
 
-	_, err = h.Propose(ctx, service.ProposeRequest{
+	_, _, err = h.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{WCET: 1, Deadline: 50, Period: 100}),
 	})
 	var ce *client.Error

@@ -304,28 +304,33 @@ func (p *Proxy) healthLoop(stop <-chan struct{}) {
 // rebalancing. It is the body of the background checker and is exported
 // so tests and operators can force an immediate sweep.
 func (p *Proxy) CheckReplicas(ctx context.Context) {
-	states := p.replicaStates()
 	var wg sync.WaitGroup
-	for rep := range states {
+	for rep := range p.replicaStates() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hctx, cancel := context.WithTimeout(ctx, defaultHealthTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(hctx, http.MethodGet, rep+"/healthz", nil)
-			if err != nil {
-				return
-			}
-			resp, err := p.hc.Do(req)
-			ok := err == nil && resp.StatusCode == http.StatusOK
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			p.setHealthy(rep, ok)
+			p.probe(ctx, rep)
 		}()
 	}
 	wg.Wait()
+}
+
+// probe asks one replica's /healthz and moves it on or off the ring by
+// the answer: only a 200 counts as alive. It is the one health check,
+// shared by the background sweep and by takeover confirmation.
+func (p *Proxy) probe(ctx context.Context, rep string) bool {
+	ctx, cancel := context.WithTimeout(ctx, defaultHealthTimeout)
+	defer cancel()
+	ok := false
+	if req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep+"/healthz", nil); err == nil {
+		if resp, err := p.hc.Do(req); err == nil {
+			ok = resp.StatusCode == http.StatusOK
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	p.setHealthy(rep, ok)
+	return ok
 }
 
 // retryable reports whether a replica status is worth a failover: the
@@ -341,10 +346,15 @@ func retryable(status int) bool {
 	return false
 }
 
-// post sends one upstream request. A transport-level failure ejects the
-// replica immediately (passive health detection); the background checker
-// re-admits it when /healthz answers again.
-func (p *Proxy) post(ctx context.Context, method, rep, path string, body []byte) (*http.Response, error) {
+// attempt makes one replica call, carrying the trace ID found in ctx. A
+// transport-level failure ejects the replica immediately (passive health
+// detection) unless the caller gave up first; the probe re-admits it when
+// /healthz answers again. A non-nil tr gets the call as a span called
+// name, whose detail is the error or note followed by the status; more
+// says another node follows, which marks a retryable status as such.
+// Callers on other goroutines than the request's pass a nil tr, since a
+// Trace is single-goroutine.
+func (p *Proxy) attempt(ctx context.Context, tr *obs.Trace, name, note string, more bool, method, rep, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -356,71 +366,87 @@ func (p *Proxy) post(ctx context.Context, method, rep, path string, body []byte)
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if tr := obs.FromContext(ctx); tr != nil {
-		req.Header.Set(obs.TraceHeader, tr.ID)
+	if t := obs.FromContext(ctx); t != nil {
+		req.Header.Set(obs.TraceHeader, t.ID)
 	}
+	start := time.Now()
 	resp, err := p.hc.Do(req)
-	if err != nil {
-		if ctx.Err() == nil { // the replica failed, not the client
-			p.setHealthy(rep, false)
-		}
-		return nil, err
+	if err != nil && ctx.Err() == nil { // the replica failed, not the client
+		p.setHealthy(rep, false)
 	}
-	return resp, nil
-}
-
-// forward tries the request on each node of seq in order, streaming the
-// first acceptable response through to the client. It returns the
-// serving replica and attempt count for callers that post-process.
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, seq []string, method, path string, body []byte) (served string, resp *http.Response, ok bool) {
-	if len(seq) == 0 {
-		p.m.noReplica.Add(1)
-		p.fail(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
-		return "", nil, false
-	}
-	tr := obs.FromContext(r.Context())
-	span := func(rep string, start time.Time, detail string) {
-		if tr == nil {
-			return
+	if tr != nil {
+		var detail string
+		switch {
+		case err != nil:
+			detail = "error: " + err.Error()
+		case more && retryable(resp.StatusCode):
+			detail = "retryable status " + strconv.Itoa(resp.StatusCode)
+		default:
+			detail = note + "status " + strconv.Itoa(resp.StatusCode)
 		}
 		tr.AddSpan(obs.Span{
-			Name:    "forward",
+			Name:    name,
 			StartNS: start.Sub(tr.Start()).Nanoseconds(),
 			DurNS:   time.Since(start).Nanoseconds(),
 			Replica: rep,
 			Detail:  detail,
 		})
 	}
-	attempts := 0
+	return resp, err
+}
+
+// failover tries the request on each node of seq in ring order, moving
+// on past transport failures and retryable statuses, and returns the
+// first other answer — or the last node's, whatever its status — with
+// the replica that gave it and the attempt count. err is non-nil when
+// no node answered or ctx ended; spans go to tr as for attempt.
+func (p *Proxy) failover(ctx context.Context, tr *obs.Trace, seq []string, method, path string, body []byte) (string, *http.Response, int, error) {
+	var err error
 	for i, rep := range seq {
-		attempts++
 		if i > 0 {
 			p.m.failovers.Add(1)
 		}
-		start := time.Now()
-		rs, err := p.post(r.Context(), method, rep, path, body)
+		more := i < len(seq)-1
+		var resp *http.Response
+		resp, err = p.attempt(ctx, tr, "forward", "", more, method, rep, path, body)
 		if err != nil {
-			span(rep, start, "error: "+err.Error())
-			if r.Context().Err() != nil {
-				p.fail(w, http.StatusServiceUnavailable, fmt.Errorf("client canceled: %w", err))
-				return "", nil, false
+			if ctx.Err() != nil {
+				return "", nil, i + 1, err
 			}
 			continue
 		}
-		if retryable(rs.StatusCode) && i < len(seq)-1 {
-			span(rep, start, "retryable status "+strconv.Itoa(rs.StatusCode))
-			io.Copy(io.Discard, rs.Body)
-			rs.Body.Close()
+		if more && retryable(resp.StatusCode) {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 			continue
 		}
-		span(rep, start, "status "+strconv.Itoa(rs.StatusCode))
-		w.Header().Set(HeaderReplica, rep)
-		w.Header().Set(HeaderAttempts, strconv.Itoa(attempts))
-		return rep, rs, true
+		return rep, resp, i + 1, nil
 	}
-	p.m.upstreamErrors.Add(1)
-	p.fail(w, http.StatusBadGateway, fmt.Errorf("all %d replicas failed for %s", len(seq), path))
-	return "", nil, false
+	return "", nil, len(seq), err
+}
+
+// forward runs failover for a client request, setting the routing
+// headers on success and answering the client itself on failure. It
+// returns the serving replica and its response for the caller to relay.
+func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, seq []string, method, path string, body []byte) (served string, resp *http.Response, ok bool) {
+	if len(seq) == 0 {
+		p.m.noReplica.Add(1)
+		p.fail(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
+		return "", nil, false
+	}
+	served, resp, attempts, err := p.failover(r.Context(), obs.FromContext(r.Context()), seq, method, path, body)
+	if err != nil {
+		if r.Context().Err() != nil {
+			p.fail(w, http.StatusServiceUnavailable, fmt.Errorf("client canceled: %w", err))
+			return "", nil, false
+		}
+		p.m.upstreamErrors.Add(1)
+		p.fail(w, http.StatusBadGateway, fmt.Errorf("all %d replicas failed for %s", len(seq), path))
+		return "", nil, false
+	}
+	w.Header().Set(HeaderReplica, served)
+	w.Header().Set(HeaderAttempts, strconv.Itoa(attempts))
+	return served, resp, true
 }
 
 // stream copies an upstream response through to the client. SSE bodies
@@ -523,7 +549,7 @@ func (p *Proxy) fleetModels(ctx context.Context) map[string]bool {
 		return p.schemaModels
 	}
 	for _, rep := range p.seqFor("schema") {
-		resp, err := p.post(ctx, http.MethodGet, rep, "/v1/schema", nil)
+		resp, err := p.attempt(ctx, nil, "", "", false, http.MethodGet, rep, "/v1/schema", nil)
 		if err != nil {
 			continue
 		}
@@ -641,7 +667,16 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 				results[gi].err = err
 				return
 			}
-			results[gi].resp, results[gi].served, results[gi].attempts, results[gi].err = p.subBatchCall(r.Context(), g.seq, payload)
+			// No trace here: the sub-batch span is added after the barrier.
+			rep, resp, attempts, err := p.failover(r.Context(), nil, g.seq, http.MethodPost, "/v1/batch", payload)
+			results[gi].attempts = attempts
+			if err == nil {
+				results[gi].resp, err = decodeSubBatch(rep, resp)
+			}
+			results[gi].err = err
+			if err == nil {
+				results[gi].served = rep
+			}
 		}()
 	}
 	wg.Wait()
@@ -710,37 +745,6 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// subBatchCall runs one sub-batch with failover, decoding the reply. It
-// returns the replica that actually served (which differs from the
-// planned owner after a failover) and the attempt count.
-func (p *Proxy) subBatchCall(ctx context.Context, seq []string, payload []byte) (service.BatchResponse, string, int, error) {
-	var lastErr error
-	tries := 0
-	for i, rep := range seq {
-		tries++
-		if i > 0 {
-			p.m.failovers.Add(1)
-		}
-		resp, err := p.post(ctx, http.MethodPost, rep, "/v1/batch", payload)
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				return service.BatchResponse{}, "", tries, err
-			}
-			continue
-		}
-		out, err, retry := decodeSubBatch(rep, resp)
-		if err == nil {
-			return out, rep, tries, nil
-		}
-		lastErr = err
-		if !retry {
-			break
-		}
-	}
-	return service.BatchResponse{}, "", tries, lastErr
-}
-
 // replicaStatusError is a replica's authoritative non-2xx answer. The
 // split path relays it verbatim, so a client error (400 analyzer spec,
 // 422 invalid set) keeps its status and body no matter how the batch
@@ -752,14 +756,14 @@ type replicaStatusError struct {
 
 func (e *replicaStatusError) Error() string { return e.msg }
 
-// decodeSubBatch consumes one sub-batch response. retry reports whether
-// the failure is worth the next ring node; an authoritative bad answer
-// (4xx, undecodable body) is not.
-func decodeSubBatch(rep string, resp *http.Response) (service.BatchResponse, error, bool) {
+// decodeSubBatch consumes the sub-batch response failover settled on. A
+// retryable status there came from the last ring node and fails the
+// split; any other non-200 is the replica's authoritative answer.
+func decodeSubBatch(rep string, resp *http.Response) (service.BatchResponse, error) {
 	defer resp.Body.Close()
 	if retryable(resp.StatusCode) {
 		io.Copy(io.Discard, resp.Body)
-		return service.BatchResponse{}, fmt.Errorf("replica %s: status %d", rep, resp.StatusCode), true
+		return service.BatchResponse{}, fmt.Errorf("replica %s: status %d", rep, resp.StatusCode)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var er service.ErrorResponse
@@ -767,13 +771,13 @@ func decodeSubBatch(rep string, resp *http.Response) (service.BatchResponse, err
 		if er.Error == "" {
 			er.Error = fmt.Sprintf("replica %s: status %d", rep, resp.StatusCode)
 		}
-		return service.BatchResponse{}, &replicaStatusError{resp.StatusCode, er.Error}, false
+		return service.BatchResponse{}, &replicaStatusError{resp.StatusCode, er.Error}
 	}
 	var out service.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return service.BatchResponse{}, fmt.Errorf("replica %s: %w", rep, err), false
+		return service.BatchResponse{}, fmt.Errorf("replica %s: %w", rep, err)
 	}
-	return out, nil, false
+	return out, nil
 }
 
 func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -892,23 +896,7 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.m.sessionRoutes.Add(1)
-	start := time.Now()
-	resp, err := p.post(r.Context(), r.Method, owner, r.URL.Path, body)
-	if tr != nil {
-		detail := ""
-		if err != nil {
-			detail = "error: " + err.Error()
-		} else {
-			detail = "status " + strconv.Itoa(resp.StatusCode)
-		}
-		tr.AddSpan(obs.Span{
-			Name:    "route",
-			StartNS: start.Sub(tr.Start()).Nanoseconds(),
-			DurNS:   time.Since(start).Nanoseconds(),
-			Replica: owner,
-			Detail:  detail,
-		})
-	}
+	resp, err := p.attempt(r.Context(), tr, "route", "", false, r.Method, owner, r.URL.Path, body)
 	if err != nil {
 		// A failed request does not prove the owner is dead: it may have
 		// applied the decision with only the response lost (timeout,
@@ -922,7 +910,9 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 			p.fail(w, http.StatusServiceUnavailable, fmt.Errorf("client canceled: %w", err))
 			return
 		}
-		if p.confirmDead(owner) {
+		// The probe runs on its own context: a client hanging up must
+		// not read as a dead owner.
+		if !p.probe(context.Background(), owner) {
 			p.orphanOrTakeover(w, r, id, owner, body,
 				fmt.Errorf("session %s: owner replica %s failed: %v", id, owner, err))
 			return
@@ -943,32 +933,6 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderOwner, owner)
 	w.Header().Set(HeaderAttempts, "1")
 	p.stream(w, resp)
-}
-
-// confirmDead probes a failed owner's /healthz synchronously. post
-// already ejected the replica passively; this distinguishes a dead
-// process (probe fails too — takeover may proceed) from a transient
-// request failure against a live one (probe answers — the failed
-// request may have been applied there, so the session must stay put).
-// An answering owner is re-admitted to the ring on the spot.
-func (p *Proxy) confirmDead(owner string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), defaultHealthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return true
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		p.setHealthy(owner, true)
-		return false
-	}
-	return true
 }
 
 // orphanOrTakeover handles a dead session owner: try a takeover peer
@@ -1001,23 +965,8 @@ func (p *Proxy) takeover(w http.ResponseWriter, r *http.Request, id, deadOwner s
 	if target == "" {
 		return false
 	}
-	start := time.Now()
-	resp, err := p.post(r.Context(), r.Method, target, r.URL.Path, body)
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		detail := "from " + deadOwner
-		if err != nil {
-			detail = "error: " + err.Error()
-		} else {
-			detail += ", status " + strconv.Itoa(resp.StatusCode)
-		}
-		tr.AddSpan(obs.Span{
-			Name:    "takeover",
-			StartNS: start.Sub(tr.Start()).Nanoseconds(),
-			DurNS:   time.Since(start).Nanoseconds(),
-			Replica: target,
-			Detail:  detail,
-		})
-	}
+	resp, err := p.attempt(r.Context(), obs.FromContext(r.Context()), "takeover", "from "+deadOwner+", ", false,
+		r.Method, target, r.URL.Path, body)
 	if err != nil {
 		p.m.takeoverFailed.Add(1)
 		return false
@@ -1067,40 +1016,55 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	states := p.replicaStates()
+	scrapes := fanOut(r.Context(), p, "/metrics", func(rep string, body io.Reader) (replicaScrape, bool) {
+		samples, types, err := parseScrape(body)
+		if err != nil {
+			p.log.Warn("unparseable replica metrics page", "replica", rep, "err", err)
+			return replicaScrape{}, false
+		}
+		return replicaScrape{replica: rep, samples: samples, types: types}, true
+	})
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	p.writeMetrics(w, scrapes)
+}
+
+// fanOut GETs path from every healthy replica in parallel and returns,
+// in replica order, what decode made of each 200 reply; decode runs on
+// the replica's own goroutine. A replica that fails, answers another
+// status or sends a body decode rejects is left out.
+func fanOut[T any](ctx context.Context, p *Proxy, path string, decode func(rep string, body io.Reader) (T, bool)) []T {
 	var mu sync.Mutex
-	var scrapes []replicaScrape
+	got := make(map[string]T)
 	var wg sync.WaitGroup
-	for rep, ok := range states {
-		if !ok {
+	for rep, healthy := range p.replicaStates() {
+		if !healthy {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := p.post(r.Context(), http.MethodGet, rep, "/metrics", nil)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
+			resp, err := p.attempt(ctx, nil, "", "", false, http.MethodGet, rep, path, nil)
+			if err != nil {
 				return
 			}
 			defer resp.Body.Close()
-			samples, types, err := parseScrape(io.LimitReader(resp.Body, maxRequestBytes))
-			if err != nil {
-				p.log.Warn("unparseable replica metrics page", "replica", rep, "err", err)
+			if resp.StatusCode != http.StatusOK {
+				io.Copy(io.Discard, resp.Body)
 				return
 			}
-			mu.Lock()
-			scrapes = append(scrapes, replicaScrape{replica: rep, samples: samples, types: types})
-			mu.Unlock()
+			if v, ok := decode(rep, io.LimitReader(resp.Body, maxRequestBytes)); ok {
+				mu.Lock()
+				got[rep] = v
+				mu.Unlock()
+			}
 		}()
 	}
 	wg.Wait()
-	sort.Slice(scrapes, func(i, j int) bool { return scrapes[i].replica < scrapes[j].replica })
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	p.writeMetrics(w, scrapes)
+	out := make([]T, 0, len(got))
+	for _, rep := range sortedKeys(got) {
+		out = append(out, got[rep])
+	}
+	return out
 }
 
 // decodeBody reads the full request body and decodes it as T with the

@@ -257,7 +257,7 @@ func TestProxySessionSticky(t *testing.T) {
 	// owner is observable via the sessions_active metric of exactly one
 	// replica.
 	for i := range 4 {
-		presp, err := h.Propose(ctx, service.ProposeRequest{
+		presp, _, err := h.Propose(ctx, service.ProposeRequest{
 			Task: service.SporadicTask(edf.Task{Name: "t" + strconv.Itoa(i), WCET: 1, Deadline: 80, Period: 100 + int64(i)}),
 		})
 		if err != nil {

@@ -47,7 +47,7 @@ func TestSessionTakeover(t *testing.T) {
 	if state.Committed != 1 {
 		t.Fatalf("fresh session: %+v", state)
 	}
-	if resp, err := h.Propose(ctx, service.ProposeRequest{
+	if resp, _, err := h.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "a", WCET: 5, Deadline: 40, Period: 50}),
 	}); err != nil || !resp.Admitted {
 		t.Fatalf("propose: %+v, %v", resp, err)
@@ -69,7 +69,7 @@ func TestSessionTakeover(t *testing.T) {
 
 	// The next touch is served by the takeover peer, attributed as such,
 	// with the committed admission state intact.
-	resp, rt2, err := h.ProposeRouted(ctx, service.ProposeRequest{
+	resp, rt2, err := h.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "b", WCET: 1, Deadline: 200, Period: 200}),
 	})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestTakeoverDrainsManySessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp, err := h.Propose(ctx, service.ProposeRequest{
+		if resp, _, err := h.Propose(ctx, service.ProposeRequest{
 			Task: service.SporadicTask(edf.Task{Name: "w", WCET: 2, Deadline: 300, Period: 300}),
 		}); err != nil || !resp.Admitted {
 			t.Fatalf("session %d propose: %+v, %v", i, resp, err)
@@ -142,7 +142,7 @@ func TestTakeoverDrainsManySessions(t *testing.T) {
 	tc.replicaByURL(t, rt.Owner).Kill()
 
 	for i, h := range handles {
-		resp, _, err := h.ProposeRouted(ctx, service.ProposeRequest{
+		resp, _, err := h.Propose(ctx, service.ProposeRequest{
 			Task: service.SporadicTask(edf.Task{Name: "x", WCET: 1, Deadline: 250, Period: 250}),
 		})
 		if err != nil {

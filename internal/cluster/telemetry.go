@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -202,35 +201,13 @@ type traceFragment struct {
 // collectReplicaTraces asks every healthy replica for its fragment of a
 // trace, in parallel, ordered oldest-first.
 func (p *Proxy) collectReplicaTraces(ctx context.Context, id string) []traceFragment {
-	var mu sync.Mutex
-	var out []traceFragment
-	var wg sync.WaitGroup
-	for rep, healthy := range p.replicaStates() {
-		if !healthy {
-			continue
+	out := fanOut(ctx, p, "/v1/traces/"+url.PathEscape(id), func(rep string, body io.Reader) (traceFragment, bool) {
+		var t obs.Trace
+		if json.NewDecoder(body).Decode(&t) != nil {
+			return traceFragment{}, false
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := p.post(ctx, http.MethodGet, rep, "/v1/traces/"+url.PathEscape(id), nil)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				io.Copy(io.Discard, resp.Body)
-				return
-			}
-			var t obs.Trace
-			if json.NewDecoder(io.LimitReader(resp.Body, maxRequestBytes)).Decode(&t) != nil {
-				return
-			}
-			mu.Lock()
-			out = append(out, traceFragment{rep: rep, t: t})
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
+		return traceFragment{rep: rep, t: t}, true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].t.StartUnixNS < out[j].t.StartUnixNS })
 	return out
 }

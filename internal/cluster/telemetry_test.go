@@ -222,7 +222,7 @@ func TestProxyFleetFeedContinuity(t *testing.T) {
 	h := sessions[survivorSession]
 	const proposes = 5
 	for i := range proposes {
-		if _, err := h.Propose(ctx, service.ProposeRequest{
+		if _, _, err := h.Propose(ctx, service.ProposeRequest{
 			Task: service.SporadicTask(edf.Task{Name: "c", WCET: 1, Deadline: int64(60 + i), Period: 1000}),
 		}); err != nil {
 			t.Fatalf("propose %d after kill: %v", i, err)

@@ -280,16 +280,10 @@ func (s *Session) State(ctx context.Context) (service.SessionResponse, Route, er
 	return out, rt, err
 }
 
-// Propose stages one task if the grown set stays feasible.
-func (s *Session) Propose(ctx context.Context, req service.ProposeRequest) (service.ProposeResponse, error) {
-	out, _, err := s.ProposeRouted(ctx, req)
-	return out, err
-}
-
-// ProposeRouted is Propose plus the cluster routing metadata, so a
-// caller can observe which replica decided and whether the session was
-// just taken over from a dead owner.
-func (s *Session) ProposeRouted(ctx context.Context, req service.ProposeRequest) (service.ProposeResponse, Route, error) {
+// Propose stages one task if the grown set stays feasible. The Route
+// tells which replica decided and whether the session was just taken
+// over from a dead owner.
+func (s *Session) Propose(ctx context.Context, req service.ProposeRequest) (service.ProposeResponse, Route, error) {
 	var out service.ProposeResponse
 	rt, err := s.c.doRoute(ctx, http.MethodPost, s.path("/propose"), req, &out)
 	return out, rt, err

@@ -125,7 +125,7 @@ func TestE2ESessionFlow(t *testing.T) {
 		{Name: "a", WCET: 20, Deadline: 150, Period: 200},
 		{Name: "b", WCET: 5, Deadline: 40, Period: 50},
 	} {
-		resp, err := sess.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(task)})
+		resp, _, err := sess.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(task)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestE2ESessionFlow(t *testing.T) {
 	}
 
 	// An overload proposal is rejected and stages nothing.
-	resp, err := sess.Propose(ctx, service.ProposeRequest{
+	resp, _, err := sess.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "hog", WCET: 99, Deadline: 100, Period: 100}),
 	})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestE2ESessionFlow(t *testing.T) {
 	}
 
 	// Stage one more, roll it back, and confirm the state reverts.
-	if resp, err = sess.Propose(ctx, service.ProposeRequest{
+	if resp, _, err = sess.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "c", WCET: 1, Deadline: 100, Period: 100}),
 	}); err != nil || !resp.Admitted {
 		t.Fatalf("propose c: %+v, %v", resp, err)

@@ -59,7 +59,7 @@ func recoveryStream(t *testing.T, seed int64, n int) []service.WorkloadTask {
 // the counts cannot.
 func proposeJSON(t *testing.T, ctx context.Context, s *client.Session, tk service.WorkloadTask) string {
 	t.Helper()
-	resp, err := s.Propose(ctx, service.ProposeRequest{Task: tk})
+	resp, _, err := s.Propose(ctx, service.ProposeRequest{Task: tk})
 	if err != nil {
 		t.Fatalf("propose: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestE2ERecoveryDiskRestart(t *testing.T) {
 		{Name: "a", WCET: 20, Deadline: 150, Period: 200},
 		{Name: "b", WCET: 5, Deadline: 40, Period: 50},
 	} {
-		if resp, err := sess.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(tk)}); err != nil || !resp.Admitted {
+		if resp, _, err := sess.Propose(ctx, service.ProposeRequest{Task: service.SporadicTask(tk)}); err != nil || !resp.Admitted {
 			t.Fatalf("propose %s: %+v, %v", tk.Name, resp, err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestE2ERecoveryDiskRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One pending (uncommitted) proposal: the restart must drop it.
-	if resp, err := sess.Propose(ctx, service.ProposeRequest{
+	if resp, _, err := sess.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "pend", WCET: 1, Deadline: 100, Period: 100}),
 	}); err != nil || !resp.Admitted {
 		t.Fatalf("pending propose: %+v, %v", resp, err)
@@ -146,7 +146,7 @@ func TestE2ERecoveryDiskRestart(t *testing.T) {
 		t.Fatalf("closed session after restart: %v, want 404", err)
 	}
 	// The resumed session keeps working: further proposals commit.
-	if resp, err := c2.Session(sess.ID).Propose(ctx, service.ProposeRequest{
+	if resp, _, err := c2.Session(sess.ID).Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "post", WCET: 1, Deadline: 200, Period: 200}),
 	}); err != nil || !resp.Admitted || resp.Committed != 3 {
 		t.Fatalf("post-restart propose: %+v, %v", resp, err)
@@ -241,7 +241,7 @@ func TestE2ERehydrateOnMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := sess.Propose(ctx, service.ProposeRequest{
+	if resp, _, err := sess.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "a", WCET: 5, Deadline: 40, Period: 50}),
 	}); err != nil || !resp.Admitted {
 		t.Fatalf("propose: %+v, %v", resp, err)
@@ -257,7 +257,7 @@ func TestE2ERehydrateOnMiss(t *testing.T) {
 	if state.Committed != 2 || state.Pending != 0 {
 		t.Fatalf("rehydrated state: %+v, want committed=2 pending=0", state)
 	}
-	if resp, err := c2.Session(sess.ID).Propose(ctx, service.ProposeRequest{
+	if resp, _, err := c2.Session(sess.ID).Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "b", WCET: 1, Deadline: 200, Period: 200}),
 	}); err != nil || !resp.Admitted {
 		t.Fatalf("propose on peer: %+v, %v", resp, err)
@@ -285,7 +285,7 @@ func TestCloseWritesFinalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := sess.Propose(ctx, service.ProposeRequest{
+	if resp, _, err := sess.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{Name: "a", WCET: 1, Deadline: 40, Period: 40}),
 	}); err != nil || !resp.Admitted {
 		t.Fatalf("propose: %+v, %v", resp, err)

@@ -423,14 +423,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out = append(out, j)
 		}
 	}
-	// The client may shrink the worker pool below the server's bound but
-	// never widen it past the operator's -workers setting.
-	workers := req.Workers
-	if workers <= 0 || (s.cfg.Workers > 0 && workers > s.cfg.Workers) {
-		workers = s.cfg.Workers
-	}
 	run := time.Now()
-	for k, jr := range engine.Run(r.Context(), jobs, engine.RunOptions{Workers: workers}) {
+	for k, jr := range engine.Run(r.Context(), jobs, engine.RunOptions{Workers: s.workers(req.Workers)}) {
 		j := &out[jobFor[k]]
 		j.Result = NewResultJSON(jr.Result)
 		j.WallNS = jr.Wall.Nanoseconds()
@@ -448,6 +442,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.batchJobs.Add(uint64(len(out)))
 	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
+}
+
+// workers clamps a request's worker-pool size: the client may shrink the
+// pool below the server's bound but never widen it past the operator's
+// -workers setting.
+func (s *Server) workers(requested int) int {
+	if requested <= 0 || (s.cfg.Workers > 0 && requested > s.cfg.Workers) {
+		return s.cfg.Workers
+	}
+	return requested
 }
 
 // handlePartition places a partitioned workload onto its processors,
@@ -478,16 +482,11 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	// Same clamp as batch: callers may shrink the pool, never widen it.
-	workers := req.Workers
-	if workers <= 0 || (s.cfg.Workers > 0 && workers > s.cfg.Workers) {
-		workers = s.cfg.Workers
-	}
 	start := time.Now()
 	pl, err := partition.Place(r.Context(), req.Workload, partition.Config{
 		Analyzer:   a.Info().Name,
 		Options:    opt,
-		Workers:    workers,
+		Workers:    s.workers(req.Workers),
 		Cache:      s.cache,
 		Heuristics: hs,
 	})

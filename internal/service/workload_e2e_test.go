@@ -176,7 +176,7 @@ func TestE2EEventSessionLifecycle(t *testing.T) {
 	}
 
 	// A sporadic proposal into an event session is refused outright.
-	_, err = sess.Propose(ctx, service.ProposeRequest{
+	_, _, err = sess.Propose(ctx, service.ProposeRequest{
 		Task: service.SporadicTask(edf.Task{WCET: 1, Deadline: 10, Period: 10}),
 	})
 	var ce *client.Error
@@ -186,13 +186,13 @@ func TestE2EEventSessionLifecycle(t *testing.T) {
 
 	// An admissible event task stages; an overload event task is rejected
 	// by the utilization gate.
-	ok, err := sess.Propose(ctx, service.ProposeRequest{
+	ok, _, err := sess.Propose(ctx, service.ProposeRequest{
 		Task: service.EventTask(edf.EventTask{Name: "x", WCET: 1, Deadline: 30, Stream: edf.PeriodicStream(100)}),
 	})
 	if err != nil || !ok.Admitted || ok.Pending != 1 {
 		t.Fatalf("event propose: %+v, %v", ok, err)
 	}
-	hog, err := sess.Propose(ctx, service.ProposeRequest{
+	hog, _, err := sess.Propose(ctx, service.ProposeRequest{
 		Task: service.EventTask(edf.EventTask{Name: "hog", WCET: 90, Deadline: 100, Stream: edf.PeriodicStream(100)}),
 	})
 	if err != nil || hog.Admitted || hog.Result.Verdict != "infeasible" {
